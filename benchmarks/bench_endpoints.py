@@ -1,16 +1,16 @@
 """Benchmark of the static endpoint-reconstruction subsystem.
 
 Not a paper table — this guards the perf contracts the endpoint census
-makes (DESIGN.md §17):
+makes (DESIGN.md §16):
 
 - **Caches buy real speed.** A warm outcome-tier run of the census must
   finish at least 2x faster than the cold run (it skips APK synthesis
   and summarization entirely); a summaries-only warm run (fresh outcome
   tier, warm per-class summaries) reports its corpus-wide hit rate.
 - **Reconstruction is deterministic.** The census yields byte-identical
-  endpoint lists at any worker count, either backend, streaming on or
-  off, and with the summary cache on or off; cache-on arms also agree
-  on every endpoint counter.
+  endpoint lists at any worker count, either backend, any in-flight
+  window and chunk size, and with the summary cache on or off; cache-on
+  arms also agree on every endpoint counter.
 - **Streaming scales.** A 10K+-app run on the streaming scheduler with
   a bounded in-flight window completes without the parent ever
   materializing an APK (the repository's lazy payloads stay lazy).
@@ -94,7 +94,7 @@ def _run(corpus=None, cache=None, **exec_kwargs):
 
 
 def test_reconstruction_determinism(bench_json):
-    """Byte-identical endpoints across workers/backends/streaming/cache."""
+    """Byte-identical endpoints across workers/backends/window/cache."""
     serial, serial_result, serial_elapsed, serial_obs = _run(
         max_workers=1, backend="inline")
     reference = _snapshot(serial_result)
@@ -102,9 +102,10 @@ def test_reconstruction_determinism(bench_json):
     arms = {
         "process_4w": dict(max_workers=4, backend="process"),
         "inline_4w": dict(max_workers=4, backend="inline"),
-        "streaming_1w": dict(max_workers=1, streaming=True),
-        "streaming_process_4w": dict(max_workers=4, backend="process",
-                                     streaming=True),
+        "window1_process_4w": dict(max_workers=4, backend="process",
+                                   window=1),
+        "chunk3_process_4w": dict(max_workers=4, backend="process",
+                                  chunk_size=3),
         "cache_off": dict(max_workers=1, endpoint_cache=False),
         "cache_off_process_4w": dict(max_workers=4, backend="process",
                                      endpoint_cache=False),
@@ -185,7 +186,7 @@ def test_streaming_scale(bench_json):
     census = EndpointCensus(
         corpus, apps=apps, obs=obs,
         exec_config=ExecConfig(max_workers=4, backend="process",
-                               streaming=True, window=4),
+                               window=4),
     )
     start = time.perf_counter()
     result = census.run()

@@ -1,7 +1,7 @@
 """Benchmark of the injection-impact subsystem.
 
 Not a paper table — this guards the two contracts the taint layer and
-the severity census make (DESIGN.md §16):
+the severity census make (DESIGN.md §15):
 
 - **Taint is cheap and invisible.** The instrumented JS evaluator must
   stay within 1.5x of the uninstrumented wall clock on the crawl's JS
@@ -9,8 +9,8 @@ the severity census make (DESIGN.md §16):
   non-exec metrics to a taint-off one — the instrumentation observes,
   it never perturbs.
 - **The census is deterministic.** The top-1K severity census yields
-  byte-identical findings at any worker count and with the streaming
-  scheduler on or off; the SDK capability ranking lands in the JSON.
+  byte-identical findings at any worker count and on either exec
+  backend; the SDK capability ranking lands in the JSON.
 
 The site count is overridable for CI smoke runs via
 ``REPRO_BENCH_SITES``; the JSON summary lands in ``BENCH_impact.json``
@@ -92,12 +92,12 @@ def _finding_snapshot(result):
     ]
 
 
-def _run_census(max_workers, streaming):
+def _run_census(max_workers, backend="inline"):
     obs = Obs()
     census = ImpactCensus(
         seed=0, obs=obs,
         exec_config=ExecConfig(max_workers=max_workers, chunk_size=1,
-                               backend="inline", streaming=streaming),
+                               backend=backend),
     )
     start = time.perf_counter()
     result = census.run()
@@ -140,16 +140,16 @@ def test_taint_execution_overhead(bench_json):
 
 
 def test_census_determinism_and_ranking(bench_json):
-    """Top-1K census: identical bytes across workers/streaming; rank SDKs."""
-    serial_obs, serial, serial_elapsed = _run_census(1, streaming=False)
-    sharded_obs, sharded, _ = _run_census(4, streaming=False)
-    streamed_obs, streamed, _ = _run_census(4, streaming=True)
+    """Top-1K census: identical bytes across workers/backends; rank SDKs."""
+    serial_obs, serial, serial_elapsed = _run_census(1)
+    sharded_obs, sharded, _ = _run_census(4)
+    pooled_obs, pooled, _ = _run_census(2, backend="process")
 
     snapshot = _finding_snapshot(serial)
     assert _finding_snapshot(sharded) == snapshot
-    assert _finding_snapshot(streamed) == snapshot
+    assert _finding_snapshot(pooled) == snapshot
     assert _non_exec_metrics(sharded_obs) == _non_exec_metrics(serial_obs)
-    assert _non_exec_metrics(streamed_obs) == _non_exec_metrics(serial_obs)
+    assert _non_exec_metrics(pooled_obs) == _non_exec_metrics(serial_obs)
 
     ranking = serial.sdk_capability_ranking()
     counts = serial.severity_counts()

@@ -7,7 +7,7 @@ from repro.dynamic.crawler import AdbCrawler, DEFAULT_CRAWL_CHUNK_SIZE
 from repro.exec.config import CHUNK_SIZE_ENV_VAR, _env_int
 from repro.dynamic.manual_study import ManualStudy
 from repro.dynamic.measurements import IabMeasurementHarness
-from repro.exec import ExecConfig, StreamScheduler, chain_results
+from repro.exec import ExecConfig, chain_results, run_plans
 from repro.obs import Obs, get_logger
 from repro.obs.progress import ProgressReporter, progress_enabled
 from repro.obs.store import TelemetryStore
@@ -35,18 +35,17 @@ class StaticStudy:
     """The ~146.5K-app static measurement study, at configurable scale.
 
     ``max_workers`` / ``chunk_size`` / ``exec_backend`` shard the per-app
-    analysis across a :mod:`repro.exec` worker pool; left at None they
-    fall back to the ``REPRO_MAX_WORKERS`` / ``REPRO_CHUNK_SIZE`` /
-    ``REPRO_EXEC_BACKEND`` environment. ``streaming`` (or
-    ``REPRO_EXEC_STREAMING``) runs the study on the streaming scheduler
-    instead of the barrier pool. Results are byte-identical for any
-    worker count, backend and scheduler (see DESIGN.md §Execution).
+    analysis over the :mod:`repro.exec` streaming scheduler; left at
+    None they fall back to the ``REPRO_MAX_WORKERS`` /
+    ``REPRO_CHUNK_SIZE`` / ``REPRO_EXEC_BACKEND`` environment. Results
+    are byte-identical for any worker count and backend (see DESIGN.md
+    §Execution).
     """
 
     def __init__(self, universe_size=20_000, seed=DEFAULT_SEED, corpus=None,
                  options=None, obs=None, max_workers=None, chunk_size=None,
-                 exec_backend=None, streaming=None, telemetry=None,
-                 results_store=None, progress_hook=None):
+                 exec_backend=None, telemetry=None, results_store=None,
+                 progress_hook=None):
         #: Per-study observability bundle (registry + tracer + clock).
         self.obs = obs if obs is not None else Obs()
         if corpus is None:
@@ -58,8 +57,7 @@ class StaticStudy:
         self.options = options or PipelineOptions()
         self.exec_config = ExecConfig(max_workers=max_workers,
                                       chunk_size=chunk_size,
-                                      backend=exec_backend,
-                                      streaming=streaming)
+                                      backend=exec_backend)
         #: Run-history sink; defaults to ``REPRO_OBS_DB`` when set.
         self.telemetry = (telemetry if telemetry is not None
                           else TelemetryStore.from_env())
@@ -77,40 +75,32 @@ class StaticStudy:
 
     def run(self, max_apps=None, progress=None):
         """Run the pipeline; memoizes the result and persists telemetry."""
-        if self.exec_config.streaming:
-            return self.run_streaming(max_apps=max_apps, progress=progress)
-        result = self.pipeline.run(max_apps=max_apps, progress=progress)
-        return self._finish_run(result)
-
-    def run_streaming(self, max_apps=None, progress=None):
-        """Run on the streaming scheduler, labeling ingest rows en route."""
         plan = self.stream_plan(max_apps=max_apps, progress=progress)
-        scheduler = StreamScheduler(self.exec_config, log=self.pipeline.log)
-        scheduler.run([plan.stage])
-        result = plan.finalize(scheduler)
-        return self._finish_run(result, prepared=plan.prepared)
+        return self._finish_run(plan.run(), prepared=plan.prepared)
 
     def stream_plan(self, max_apps=None, progress=None):
-        """Open a streaming run whose ingest rows prepare incrementally.
+        """Open a run whose ingest rows prepare incrementally.
 
-        On top of the pipeline's own plan, an extra ordered consumer
-        SDK-labels each successful outcome as it lands, so by
-        :meth:`InterleavedStudies.run`/:meth:`run_streaming` finalize
-        time the results-DB ingest only writes rows (cache-served apps
-        bypass the stage and are prepared inside the ingest instead).
+        With a results store, an extra ordered consumer on top of the
+        pipeline's own plan SDK-labels each successful outcome as it
+        lands, so at finalize the results-DB ingest only writes rows
+        (cache-served apps bypass the stage and are prepared inside the
+        ingest instead).
         """
         plan = self.pipeline.stream_plan(max_apps=max_apps,
                                          progress=progress)
-        plan.prepared = {}
-        labeler = self.pipeline.labeler
+        plan.prepared = None
+        if self.results_store is not None:
+            prepared = plan.prepared = {}
+            labeler = self.pipeline.labeler
 
-        def prepare(index, outcome):
-            if outcome.error is None:
-                plan.prepared[outcome.package] = prepare_study_row(
-                    outcome.analysis, labeler
-                )
+            def prepare(index, outcome):
+                if outcome.error is None:
+                    prepared[outcome.package] = prepare_study_row(
+                        outcome.analysis, labeler
+                    )
 
-        plan.stage.consume_ordered(prepare)
+            plan.stage.consume_ordered(prepare)
         return plan
 
     def _finish_run(self, result, prepared=None):
@@ -192,8 +182,8 @@ class DynamicStudy:
     """The top-1K semi-manual dynamic study.
 
     Like :class:`StaticStudy`, ``max_workers`` / ``chunk_size`` /
-    ``exec_backend`` shard the crawl (per app) across a
-    :mod:`repro.exec` worker pool, and ``script_cache`` toggles the
+    ``exec_backend`` shard the crawl (per app) over the :mod:`repro.exec`
+    streaming scheduler, and ``script_cache`` toggles the
     compiled-script cache (``REPRO_SCRIPT_CACHE``); left at None they
     fall back to the environment. Crawl results and metrics are
     byte-identical for any worker count and cache setting (see DESIGN.md
@@ -202,8 +192,8 @@ class DynamicStudy:
 
     def __init__(self, seed=DEFAULT_SEED, site_count=100, total_apps=1000,
                  obs=None, max_workers=None, chunk_size=None,
-                 exec_backend=None, script_cache=None, streaming=None,
-                 telemetry=None, results_store=None, progress_hook=None):
+                 exec_backend=None, script_cache=None, telemetry=None,
+                 results_store=None, progress_hook=None):
         self.seed = seed
         self.obs = obs if obs is not None else Obs()
         self.telemetry = (telemetry if telemetry is not None
@@ -221,8 +211,7 @@ class DynamicStudy:
         self.exec_config = ExecConfig(max_workers=max_workers,
                                       chunk_size=chunk_size,
                                       backend=exec_backend,
-                                      script_cache=script_cache,
-                                      streaming=streaming)
+                                      script_cache=script_cache)
         self._classifications = None
         self._measurements = None
         self._crawl = None
@@ -368,9 +357,9 @@ class InterleavedStudies:
     """Run a static study and a dynamic crawl through ONE scheduler.
 
     Both studies' chunks interleave round-robin in a single streaming
-    worker pool (:class:`~repro.exec.StreamScheduler`), so the crawl's
-    many uniform shards fill the worker idle time behind the static
-    study's straggler APKs — the mixed-workload speedup
+    worker pool (:func:`~repro.exec.run_plans`), so the crawl's many
+    uniform shards fill the worker idle time behind the static study's
+    straggler APKs — the mixed-workload speedup
     ``benchmarks/bench_scheduler.py`` measures. One shared schedule
     simulation attributes workers and makespan across both stages.
 
@@ -392,16 +381,13 @@ class InterleavedStudies:
     def run(self, max_apps=None, apps=None):
         """Run both studies interleaved; returns (StudyResult, CrawlResult)."""
         static_plan = self.static.stream_plan(max_apps=max_apps)
-        crawl_plan = self.dynamic.stream_plan(apps=apps)
-        scheduler = StreamScheduler(self.exec_config, log=self.log)
-        scheduler.run([static_plan.stage, crawl_plan.stage])
-        schedule, per_stage = scheduler.simulate(
-            [static_plan.costs(), crawl_plan.costs()]
-        )
-        result = static_plan.finalize(scheduler, schedule=schedule,
-                                      assignments=per_stage[0])
-        crawl = crawl_plan.finalize(scheduler, schedule=schedule,
-                                    assignments=per_stage[1])
+        try:
+            crawl_plan = self.dynamic.stream_plan(apps=apps)
+        except BaseException as exc:
+            static_plan.abort(exc)
+            raise
+        result, crawl = run_plans([static_plan, crawl_plan],
+                                  self.exec_config, log=self.log)
         self.static._finish_run(result, prepared=static_plan.prepared)
         self.dynamic._finish_crawl(crawl)
         return result, crawl

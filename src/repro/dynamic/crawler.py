@@ -25,7 +25,6 @@ off.
 """
 
 import collections
-import contextlib
 import functools
 import time
 
@@ -33,36 +32,16 @@ from repro.dynamic.apps import RealAppProfile
 from repro.dynamic.device import Device
 from repro.dynamic.iab import IabKind
 from repro.dynamic.webview_runtime import WebViewRuntime
-from repro.exec import (
-    ExecConfig,
-    StreamScheduler,
-    StreamStage,
-    WORKER_LOST_SLUG,
-    make_pool,
-    simulate_schedule,
-    stage_schedule_view,
-)
+from repro.exec import ExecConfig, StreamPlan, TaskOutcome
 from repro.exec.config import CHUNK_SIZE_ENV_VAR, _env_int
 from repro.netstack.network import Network, Request
 from repro.obs import (
     CRAWL_NETLOG_EVENTS_METRIC,
     CRAWL_VISIT_ENDPOINTS_METRIC,
     CRAWL_VISITS_METRIC,
-    DROPS_METRIC,
-    EXEC_BACKEND_METRIC,
-    EXEC_CHUNK_SIZE_METRIC,
-    EXEC_CHUNKS_REPAIRED_METRIC,
-    EXEC_CRITICAL_PATH_METRIC,
-    EXEC_QUEUE_DEPTH_METRIC,
-    EXEC_STEALS_METRIC,
-    EXEC_TASKS_METRIC,
-    EXEC_TASKS_QUARANTINED_METRIC,
-    EXEC_WORKER_BUSY_METRIC,
-    EXEC_WORKERS_METRIC,
     SCRIPT_CACHE_HITS_METRIC,
     SCRIPT_CACHE_MISSES_METRIC,
     SCRIPT_CACHE_TIME_SAVED_METRIC,
-    Span,
     TickClock,
     Tracer,
     bind_context,
@@ -218,29 +197,24 @@ class _VisitRecord:
         self.netlog_event_counts = netlog_event_counts
 
 
-class ShardOutcome:
+class ShardOutcome(TaskOutcome):
     """One app shard's results, merged by the parent in selection order.
 
-    ``spans`` is the shard's exported span tree (every shard traces into
-    a fresh per-shard tracer, on both backends, so traces are identical
-    whichever side of the process boundary the work ran on);
+    Every shard traces into a fresh per-shard tracer, on both backends,
+    and exports its span tree in ``spans``, so traces are identical
+    whichever side of the process boundary the work ran on.
     ``script_events`` is the ordered ``(digest, parse cost)`` stream the
     parent replays for deterministic script-cache accounting;
     ``adb_commands`` is the shard's bounded ADB transcript.
     """
 
-    __slots__ = ("position", "package", "visits", "adb_commands",
-                 "script_events", "cost", "spans", "worker")
+    __slots__ = ("visits", "adb_commands", "script_events")
 
     def __init__(self, position, package):
-        self.position = position
-        self.package = package
+        super().__init__(position, package)
         self.visits = []
         self.adb_commands = []
         self.script_events = []
-        self.cost = 0.0
-        self.spans = None
-        self.worker = None
 
 
 def _visit_site(app, site, device, span, seed, adb):
@@ -350,11 +324,6 @@ class AdbCrawler:
             ))
         self.exec_config = exec_config
         self.log = get_logger("dynamic.crawler")
-        self._execute_span = None
-        #: Streaming runs replay shard spans before the deterministic
-        #: schedule exists; the replayed roots park here (by shard
-        #: position) until :meth:`_assign_workers` stamps them.
-        self._replayed_roots = {}
         self._visits = self.obs.counter(
             CRAWL_VISITS_METRIC, "Completed (app, site) crawl visits.",
             ("app",),
@@ -374,70 +343,19 @@ class AdbCrawler:
         """Run the full crawl; returns a :class:`CrawlResult`.
 
         ``progress``, when given, is called with each app's
-        :class:`ShardOutcome` in completion order (the pool's
-        ``on_result`` hook); results are still merged in selection order.
+        :class:`ShardOutcome` in completion order; results are still
+        merged in selection order.
         """
-        if self.exec_config.streaming:
-            return self.crawl_streaming(progress)
-        with self.obs.activate(), bind_context(stage="crawl"), \
-                self.obs.span("crawl", apps=len(self.apps),
-                              sites=len(self.sites)):
-            return self._crawl(progress)
-
-    def crawl_streaming(self, progress=None):
-        """Run the crawl on the streaming scheduler (same result bytes).
-
-        Visits merge into the :class:`CrawlResult` as shards land
-        instead of waiting for the pool barrier; see
-        :mod:`repro.exec.stream` and DESIGN.md §Streaming scheduler.
-        """
-        plan = self.stream_plan(progress=progress)
-        scheduler = StreamScheduler(self.exec_config, log=self.log)
-        scheduler.run([plan.stage])
-        return plan.finalize(scheduler)
+        return self.stream_plan(progress=progress).run()
 
     def stream_plan(self, progress=None):
-        """Open a streaming crawl and return its :class:`CrawlStreamPlan`.
+        """Open a crawl and return its :class:`CrawlStreamPlan`.
 
-        The plan holds the ``crawl``/``execute`` spans open on this
-        crawler's own tracer (no ambient contextvar, so the plan can
-        share a :class:`~repro.exec.StreamScheduler` with other
-        studies' stages), exposes ``stage`` for the scheduler, and
-        ``finalize(scheduler)`` closes the run.
+        The plan's ``stage`` waits for a
+        :class:`~repro.exec.StreamScheduler` (possibly shared with other
+        studies' stages) and ``finalize`` closes the run.
         """
         return CrawlStreamPlan(self, progress=progress)
-
-    def _shard_list(self):
-        """The crawl's (apps, shards): one shard per app, baseline last."""
-        apps = list(self.apps)
-        if self.include_baseline:
-            # The baseline shell is crawled once, as one ordinary shard;
-            # differencing happens in CrawlResult, so no shard needs its
-            # results in flight.
-            apps.append(SYSTEM_WEBVIEW_SHELL)
-        shards = [CrawlShard(position, app)
-                  for position, app in enumerate(apps)]
-        return apps, shards
-
-    def _crawl(self, progress):
-        apps, shards = self._shard_list()
-        outcomes = self._run_shards(shards, progress)
-        schedule = simulate_schedule([o.cost for o in outcomes],
-                                     self.exec_config.max_workers,
-                                     self.exec_config.chunk_size)
-        for outcome, worker in zip(outcomes, schedule.assignments):
-            outcome.worker = worker
-        self._record_exec_metrics(outcomes, schedule)
-
-        visits = []
-        baseline_visits = []
-        for app, outcome in zip(apps, outcomes):
-            self._merge_shard(app, outcome, visits, baseline_visits)
-        self._record_script_metrics(outcomes)
-        self.log.info("crawl_complete", visits=len(visits),
-                      baseline_visits=len(baseline_visits),
-                      workers=self.exec_config.max_workers)
-        return CrawlResult(visits, baseline_visits)
 
     def _shard_fn(self):
         """The per-shard callable (identical for both backends)."""
@@ -449,38 +367,14 @@ class AdbCrawler:
         )
         return functools.partial(_run_crawl_shard, settings)
 
-    def _run_shards(self, shards, progress):
-        """Map the per-app shards over the configured pool, in order."""
-        pool = make_pool(self.exec_config, log=self.log)
-        fn = self._shard_fn()
-        with self.obs.span("execute", backend=pool.name,
-                           workers=self.exec_config.max_workers,
-                           shards=len(shards)) as execute_span:
-            # Remembered so shard spans replay under this span during
-            # the merge (it is closed by then) — same tree shape as the
-            # static pipeline's execute/analyze_app nesting.
-            self._execute_span = execute_span
-            if hasattr(progress, "begin"):
-                progress.begin(len(shards))
-            outcomes = pool.map(shards, fn, on_result=progress)
-        if pool.repaired_chunks:
-            self.obs.counter(
-                EXEC_CHUNKS_REPAIRED_METRIC,
-                "Chunks re-run after losing their worker mid-flight.",
-            ).inc(pool.repaired_chunks)
-        return outcomes
-
     def _merge_shard(self, app, outcome, visits, baseline_visits):
         """Fold one shard into the crawl (selection order).
 
         Rebuilds each SiteVisit against the parent's own app and site
         objects (so baseline identity and ``visits_for`` behave exactly
-        as in a serial crawl), replays the shard's span tree into the
-        study tracer, extends the bounded ADB transcript, and replays the
-        per-visit metrics.
+        as in a serial crawl), extends the bounded ADB transcript, and
+        replays the per-visit metrics.
         """
-        with bind_context(package=app.package):
-            self._replay_shard_spans(outcome)
         self.adb_commands.extend(outcome.adb_commands)
         for site, record in zip(self.sites, outcome.visits):
             visit = SiteVisit(app, site, record.endpoints)
@@ -494,126 +388,6 @@ class AdbCrawler:
             self._endpoints.observe(len(record.endpoints))
             self.log.debug("visit_complete", app=app.name, site=site.host,
                            endpoints=len(record.endpoints))
-
-    def _replay_shard_spans(self, outcome):
-        """Attach a shard's exported span tree to the study tracer."""
-        tracer = self.obs.tracer
-        for data in outcome.spans:
-            root = Span.from_dict(data)
-            if outcome.worker is not None:
-                root.set_attribute("worker", "w%d" % outcome.worker)
-            else:
-                # Streaming runs merge before the deterministic schedule
-                # exists; park the root until finalize stamps worker
-                # attribution post-hoc.
-                self._replayed_roots.setdefault(outcome.position,
-                                                []).append(root)
-            parent = self._execute_span or tracer.current()
-            if parent is not None:
-                parent.children.append(root)
-            else:
-                tracer.roots.append(root)
-            if tracer.on_span_end is not None:
-                for span in root.iter_spans():
-                    tracer.on_span_end(span)
-
-    # -- streaming execution ---------------------------------------------------
-
-    def _stage_context(self):
-        """Per-event ambient context for streamed deliveries.
-
-        The streaming scheduler interleaves several studies' events, so
-        the crawler may not hold its tracer/log context across the run;
-        this context manager is entered around every shard execution
-        and delivery instead.
-        """
-        @contextlib.contextmanager
-        def enter():
-            with self.obs.activate(), bind_context(stage="crawl"):
-                yield
-        return enter
-
-    def _lost_shard(self, shard):
-        """Quarantine outcome for a shard whose workers kept dying.
-
-        The app simply has no visits in the :class:`CrawlResult` — the
-        same shape a crawl that never selected the app would produce —
-        and the loss is accounted in the drop taxonomy.
-        """
-        self.obs.counter(
-            DROPS_METRIC,
-            "Apps dropped before successful analysis, by reason.",
-            ("reason",),
-        ).labels(reason=WORKER_LOST_SLUG).inc()
-        self.log.warning("shard_lost", app=shard.app.package,
-                         attempts=self.exec_config.max_attempts)
-        outcome = ShardOutcome(shard.position, shard.app.package)
-        outcome.spans = []
-        return outcome
-
-    def _assign_workers(self, executed, workers):
-        """Stamp deterministic worker attribution onto streamed shards."""
-        for outcome, worker in zip(executed, workers):
-            outcome.worker = worker
-            for root in self._replayed_roots.pop(outcome.position, ()):
-                root.set_attribute("worker", "w%d" % worker)
-
-    def _record_stream_metrics(self, scheduler, schedule):
-        """Scheduler health counters for the run report.
-
-        Steals come from the deterministic schedule replay; repair and
-        quarantine counts are what the live repair pass actually did
-        (nonzero only under worker faults).
-        """
-        self.obs.counter(
-            EXEC_STEALS_METRIC,
-            "Work-steal events in the simulated streamed schedule.",
-        ).inc(schedule.steals)
-        self.obs.counter(
-            EXEC_CHUNKS_REPAIRED_METRIC,
-            "Chunks re-run after losing their worker mid-flight.",
-        ).inc(scheduler.repaired_chunks)
-        self.obs.counter(
-            EXEC_TASKS_QUARANTINED_METRIC,
-            "Tasks dropped as worker_lost after the retry budget.",
-        ).inc(scheduler.quarantined_tasks)
-
-    def _record_exec_metrics(self, outcomes, schedule):
-        """Deterministic execution metrics for the run report."""
-        config = self.exec_config
-        self.obs.gauge(
-            EXEC_WORKERS_METRIC, "Configured worker count.",
-        ).set(config.max_workers)
-        self.obs.gauge(
-            EXEC_CHUNK_SIZE_METRIC, "Tasks per worker dispatch.",
-        ).set(config.chunk_size)
-        self.obs.gauge(
-            EXEC_BACKEND_METRIC, "Resolved execution backend (info).",
-            ("backend",),
-        ).labels(backend=config.resolved_backend).set(1)
-        shard_count = len(outcomes)
-        chunks = -(-shard_count // config.chunk_size) if shard_count else 0
-        self.obs.gauge(
-            EXEC_QUEUE_DEPTH_METRIC,
-            "High-water mark of chunks in the bounded work queue.",
-        ).set(min(config.window, chunks))
-        tasks = self.obs.counter(
-            EXEC_TASKS_METRIC, "Per-app tasks, by outcome.", ("status",),
-        )
-        for _ in outcomes:
-            tasks.labels(status="ok").inc()
-        busy = self.obs.counter(
-            EXEC_WORKER_BUSY_METRIC,
-            "Clock units each worker spent analyzing apps.",
-            ("worker",),
-        )
-        for worker, amount in enumerate(schedule.worker_busy):
-            if amount:
-                busy.labels(worker="w%d" % worker).inc(amount)
-        self.obs.gauge(
-            EXEC_CRITICAL_PATH_METRIC,
-            "Makespan of the (simulated greedy) worker schedule.",
-        ).set(schedule.critical_path)
 
     def _record_script_metrics(self, outcomes):
         """Deterministic script-cache accounting by selection-order replay.
@@ -652,84 +426,51 @@ class AdbCrawler:
         ).inc(saved)
 
 
-class CrawlStreamPlan:
-    """One crawl's opened streaming run.
+class CrawlStreamPlan(StreamPlan):
+    """One crawl's opened run (see :class:`~repro.exec.StreamPlan`).
 
-    Created by :meth:`AdbCrawler.stream_plan`. The per-app shards wait
-    in ``stage`` for a :class:`~repro.exec.StreamScheduler` (shared with
-    other studies' stages when interleaving); visits, spans, transcripts
-    and per-visit metrics merge incrementally in exact shard order as
-    outcomes stream in, so the :class:`CrawlResult` is byte-identical to
-    the barrier path. The ``crawl``/``execute`` spans are held open on
-    the crawler's own tracer (never via an ambient contextvar) and
-    closed by :meth:`finalize`.
+    Created by :meth:`AdbCrawler.stream_plan`: one shard per app, the
+    baseline shell last. Visits, spans, transcripts and per-visit
+    metrics merge in exact shard order as outcomes stream in. A shard
+    lost to repeated worker death leaves its app with no visits — the
+    shape a crawl that never selected the app would produce.
     """
+
+    name = "crawl"
+    root = "crawl"
 
     def __init__(self, crawler, progress=None):
         self.crawler = crawler
         self.visits = []
         self.baseline_visits = []
-        #: Shard outcomes in shard order (quarantined ones included).
-        self.executed = []
-        self._ctx = crawler._stage_context()
-        crawler._replayed_roots.clear()
-        with self._ctx():
-            self._crawl_cm = crawler.obs.span(
-                "crawl", apps=len(crawler.apps), sites=len(crawler.sites)
-            )
-            self.crawl_span = self._crawl_cm.__enter__()
-            self.apps, shards = crawler._shard_list()
-            self.stage = StreamStage(
-                "crawl", shards, crawler._shard_fn(),
-                on_lost=crawler._lost_shard,
-                chunk_size=crawler.exec_config.chunk_size,
-                context=self._ctx,
-            )
-            # Shards are delivered in shard order already (the stage's
-            # prefix-flush buffer holds out-of-order completions), so the
-            # merge consumes the stream directly — no short-circuited
-            # positions to interleave, unlike the static pipeline.
-            self.stage.consume_ordered(self._on_ordered)
-            self.stage.consume(progress)
-            self._execute_cm = crawler.obs.span(
-                "execute", backend=crawler.exec_config.resolved_backend,
-                workers=crawler.exec_config.max_workers, shards=len(shards),
-            )
-            self.execute_span = self._execute_cm.__enter__()
-            crawler._execute_span = self.execute_span
-            if hasattr(progress, "begin"):
-                progress.begin(len(shards))
+        super().__init__(crawler, sinks=progress, apps=len(crawler.apps),
+                         sites=len(crawler.sites))
 
-    def _on_ordered(self, index, outcome):
-        self.executed.append(outcome)
-        self.crawler._merge_shard(self.apps[index], outcome,
+    def prepare(self):
+        self.apps = list(self.crawler.apps)
+        if self.crawler.include_baseline:
+            # The baseline shell is crawled once, as one ordinary shard;
+            # differencing happens in CrawlResult, so no shard needs its
+            # results in flight.
+            self.apps.append(SYSTEM_WEBVIEW_SHELL)
+        shards = [CrawlShard(position, app)
+                  for position, app in enumerate(self.apps)]
+        return shards, []
+
+    def task_fn(self):
+        return self.crawler._shard_fn()
+
+    def merge(self, outcome):
+        self.crawler._merge_shard(self.apps[outcome.position], outcome,
                                   self.visits, self.baseline_visits)
 
-    def costs(self):
-        """Measured per-shard costs, in shard order (the simulate input)."""
-        return [outcome.cost for outcome in self.executed]
+    def lost(self, shard, message):
+        return ShardOutcome(shard.position, shard.app.package)
 
-    def finalize(self, scheduler, schedule=None, assignments=None):
-        """Close the run: schedule replay, metrics, spans. Returns result.
-
-        ``schedule``/``assignments`` come from the caller for
-        interleaved runs (one shared simulation across stages); left at
-        None, the plan simulates its own single-stage schedule.
-        """
+    def build_result(self):
         crawler = self.crawler
-        with self._ctx():
-            self._execute_cm.__exit__(None, None, None)
-            if schedule is None:
-                schedule, per_stage = scheduler.simulate([self.costs()])
-                assignments = per_stage[0]
-            crawler._assign_workers(self.executed, assignments)
-            view = stage_schedule_view(crawler.exec_config, assignments,
-                                       self.costs(), schedule)
-            crawler._record_exec_metrics(self.executed, view)
-            crawler._record_stream_metrics(scheduler, schedule)
-            crawler._record_script_metrics(self.executed)
-            crawler.log.info("crawl_complete", visits=len(self.visits),
-                             baseline_visits=len(self.baseline_visits),
-                             workers=crawler.exec_config.max_workers)
-            self._crawl_cm.__exit__(None, None, None)
+        crawler._record_script_metrics(self.outcomes)
+        crawler.log.info("crawl_complete", visits=len(self.visits),
+                         baseline_visits=len(self.baseline_visits),
+                         workers=self.config.max_workers)
         return CrawlResult(self.visits, self.baseline_visits)

@@ -23,21 +23,20 @@ Perf core (the reason this scales to a 100K+-app corpus):
   fingerprint)``; warm runs skip APK synthesis entirely (the repository
   derives lazy-payload digests from package identity, so the key is
   available without building bytes).
-- **Streaming**: the census runs as a :class:`~repro.exec.StreamStage`
-  on the PR-8 scheduler with the bounded in-flight window. Shards carry
-  :class:`~repro.corpus.AppSpec` objects, workers synthesize the APK
-  bytes themselves and drop them after summarization — the parent never
-  materializes the corpus in memory.
+- **Streaming**: the census runs as a :class:`~repro.exec.StreamPlan`
+  on the streaming scheduler with its bounded in-flight window. Shards
+  carry :class:`~repro.corpus.AppSpec` objects, workers synthesize the
+  APK bytes themselves and drop them after summarization — the parent
+  never materializes the corpus in memory.
 
 Determinism contract: identical to the static pipeline — results and
-metrics are byte-identical at any worker count, either backend,
-streaming on or off, and with the summary cache on or off (cache
+metrics are byte-identical at any worker count, either backend, and
+with the summary cache on or off (cache
 metrics come from a selection-order digest replay, never worker-local
 counts). Per-app failures fold into the drop taxonomy
 (``endpoint``, ``broken_apk``, ...) instead of aborting the shard.
 """
 
-import contextlib
 import functools
 import time
 
@@ -54,15 +53,10 @@ from repro.exec import (
     ClassFactsCache,
     ENDPOINT_SUMMARY_KIND,
     ExecConfig,
-    StreamScheduler,
-    StreamStage,
-    WORKER_LOST_SLUG,
-    make_pool,
-    simulate_schedule,
-    stage_schedule_view,
+    StreamPlan,
+    TaskOutcome,
 )
 from repro.obs import (
-    DROPS_METRIC,
     ENDPOINTS_APPS_METRIC,
     ENDPOINTS_CLEARTEXT_METRIC,
     ENDPOINTS_CREDENTIALS_METRIC,
@@ -71,20 +65,8 @@ from repro.obs import (
     ENDPOINTS_SUMMARY_CACHE_HITS_METRIC,
     ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC,
     ENDPOINTS_SUMMARY_TIME_SAVED_METRIC,
-    EXEC_BACKEND_METRIC,
-    EXEC_CACHE_EVICTIONS_METRIC,
     EXEC_CACHE_HITS_METRIC,
     EXEC_CACHE_MISSES_METRIC,
-    EXEC_CHUNK_SIZE_METRIC,
-    EXEC_CHUNKS_REPAIRED_METRIC,
-    EXEC_CRITICAL_PATH_METRIC,
-    EXEC_QUEUE_DEPTH_METRIC,
-    EXEC_STEALS_METRIC,
-    EXEC_TASKS_METRIC,
-    EXEC_TASKS_QUARANTINED_METRIC,
-    EXEC_WORKER_BUSY_METRIC,
-    EXEC_WORKERS_METRIC,
-    Span,
     TickClock,
     Tracer,
     bind_context,
@@ -375,25 +357,20 @@ class _EndpointSettings:
         self.summary_cache = summary_cache
 
 
-class EndpointShardOutcome:
-    """Per-app execution outcome, merged in selection order."""
+class EndpointShardOutcome(TaskOutcome):
+    """Per-app execution outcome, merged in selection order.
 
-    __slots__ = ("position", "sha256", "package", "record", "error",
-                 "message", "cost", "spans", "span", "worker", "cached",
-                 "class_digests", "new_facts")
+    ``record`` is the app's :class:`AppEndpoints` (None on failure);
+    ``class_digests`` / ``new_facts`` are the summary-tier analogue of
+    the static pipeline's class-facts ship-back.
+    """
+
+    __slots__ = ("sha256", "record", "class_digests", "new_facts")
 
     def __init__(self, position, sha256, package):
-        self.position = position
+        super().__init__(position, package)
         self.sha256 = sha256
-        self.package = package
         self.record = None
-        self.error = None
-        self.message = None
-        self.cost = 0.0
-        self.spans = None
-        self.span = None
-        self.worker = None
-        self.cached = False
         self.class_digests = None
         self.new_facts = None
 
@@ -541,13 +518,6 @@ class EndpointCensus:
         self.cache = cache if cache is not None else AnalysisCache()
         self.fingerprint = endpoint_fingerprint(self.seed)
         self.log = get_logger("endpoints.census")
-        self._execute_span = None
-        self._replayed_roots = {}
-        self._drops = self.obs.counter(
-            DROPS_METRIC,
-            "Apps dropped before successful analysis, by reason.",
-            ("reason",),
-        )
         self._apps_metric = self.obs.counter(
             ENDPOINTS_APPS_METRIC,
             "Apps whose endpoints were statically reconstructed.",
@@ -577,80 +547,38 @@ class EndpointCensus:
 
     def run(self, progress=None):
         """Run the census; returns an :class:`EndpointResult`."""
-        if self.exec_config.streaming:
-            return self.run_streaming(progress)
-        with self.obs.activate(), bind_context(stage="endpoints"), \
-                self.obs.span("endpoints", apps=len(self.apps)):
-            return self._run(progress)
-
-    def run_streaming(self, progress=None):
-        """Run the census on the streaming scheduler (same result bytes)."""
-        plan = self.stream_plan(progress=progress)
-        scheduler = StreamScheduler(self.exec_config, log=self.log)
-        scheduler.run([plan.stage])
-        return plan.finalize(scheduler)
+        return self.stream_plan(progress=progress).run()
 
     def stream_plan(self, progress=None):
-        """Open a streaming census; see :class:`EndpointStreamPlan`."""
+        """Open a census; see :class:`EndpointStreamPlan`."""
         return EndpointStreamPlan(self, progress=progress)
 
-    # -- barrier execution ---------------------------------------------------
-
-    def _run(self, progress):
-        evictions_before = (self.cache.evictions,
-                            self.cache.summaries.evictions)
-        summary_enabled = self.exec_config.endpoint_cache
-        prior_digests = (self.cache.summaries.known_digests()
-                         if summary_enabled else ())
-        outcomes, shards = self._prepare()
-        executed = self._run_shards(shards, progress)
-        schedule = simulate_schedule([o.cost for o in executed],
-                                     self.exec_config.max_workers,
-                                     self.exec_config.chunk_size)
-        for outcome, worker in zip(executed, schedule.assignments):
-            outcome.worker = worker
-            if outcome.span is not None:
-                outcome.span.set_attribute("worker", "w%d" % worker)
-            outcomes[outcome.position] = outcome
-        self._record_exec_metrics(outcomes, len(shards), schedule)
-        if summary_enabled:
-            self._record_summary_metrics(outcomes, prior_digests)
-        apps = []
-        for outcome in outcomes:
-            self._merge_outcome(outcome, apps)
-        self._record_eviction_metrics(evictions_before)
-        self.log.info("census_complete", apps=len(apps),
-                      endpoints=sum(len(a.records) for a in apps),
-                      workers=self.exec_config.max_workers)
-        return EndpointResult(apps)
+    # -- sharded execution ---------------------------------------------------
 
     def _prepare(self):
         """Outcome-tier short-circuits plus the worker shard list.
 
-        Returns ``(outcomes, shards)``: ``outcomes`` pre-filled at every
-        cached position (None where a shard must run). The cache key
-        uses the repository's identity digest, so warm runs skip APK
-        synthesis entirely.
+        Returns ``(shards, served)``: the shards to execute and the
+        outcomes of every cached position. The cache key uses the
+        repository's identity digest, so warm runs skip APK synthesis
+        entirely.
         """
-        outcomes = [None] * len(self.apps)
         shards = []
+        served = []
         for position, spec in enumerate(self.apps):
             sha256 = lazy_sha256(spec)
             entry = self.cache.get(sha256, self.fingerprint)
             if entry is not None:
                 self._cache_hits.inc()
-                record, error, message = entry
                 outcome = EndpointShardOutcome(position, sha256,
                                                spec.package)
-                outcome.record = record
-                outcome.error = error
-                outcome.message = message
+                outcome.record, outcome.error, outcome.message = entry
                 outcome.cached = True
-                outcomes[position] = outcome
+                served.append(outcome)
                 continue
             self._cache_misses.inc()
             shards.append(EndpointShard(position, spec, sha256))
-        return outcomes, shards
+        return shards, served
 
     def _shard_fn(self):
         settings = _EndpointSettings(
@@ -676,23 +604,6 @@ class EndpointCensus:
         outcome.span = span
         return outcome
 
-    def _run_shards(self, shards, progress):
-        pool = make_pool(self.exec_config, log=self.log)
-        fn = self._shard_fn()
-        with self.obs.span("execute", backend=pool.name,
-                           workers=self.exec_config.max_workers,
-                           shards=len(shards)) as execute_span:
-            self._execute_span = execute_span
-            if hasattr(progress, "begin"):
-                progress.begin(len(shards))
-            outcomes = pool.map(shards, fn, on_result=progress)
-        if pool.repaired_chunks:
-            self.obs.counter(
-                EXEC_CHUNKS_REPAIRED_METRIC,
-                "Chunks re-run after losing their worker mid-flight.",
-            ).inc(pool.repaired_chunks)
-        return outcomes
-
     # -- aggregation ---------------------------------------------------------
 
     def _attribution(self, app_package, owner_package):
@@ -712,200 +623,24 @@ class EndpointCensus:
 
     def _merge_outcome(self, outcome, apps):
         """Fold one outcome into the census (selection order)."""
-        with bind_context(package=outcome.package):
-            if outcome.spans:
-                self._replay_shard_spans(outcome)
-            if not outcome.cached:
-                self.cache.put(outcome.sha256, self.fingerprint,
-                               (outcome.record, outcome.error,
-                                outcome.message))
-            if outcome.error is not None:
-                self._drops.labels(reason=outcome.error).inc()
-                self.log.warning("app_failed", reason=outcome.error,
-                                 detail=outcome.message,
-                                 cached=outcome.cached)
-                return
-            app = outcome.record
-            for record in app.records:
-                record.sdk = self._attribution(app.package,
-                                               record.owner_package)
-                kind = "partial" if record.partial else "full"
-                self._found_metric.labels(kind=kind).inc()
-                if record.cleartext:
-                    self._cleartext_metric.inc()
-                if record.credentials:
-                    self._credentials_metric.inc()
-            apps.append(app)
-            self._apps_metric.inc()
-
-    def _replay_shard_spans(self, outcome):
-        """Attach a shard's exported span tree to the census tracer."""
-        tracer = self.obs.tracer
-        for data in outcome.spans:
-            root = Span.from_dict(data)
-            if outcome.worker is not None:
-                root.set_attribute("worker", "w%d" % outcome.worker)
-            else:
-                self._replayed_roots.setdefault(outcome.position,
-                                                []).append(root)
-            parent = self._execute_span or tracer.current()
-            if parent is not None:
-                parent.children.append(root)
-            else:
-                tracer.roots.append(root)
-            if tracer.on_span_end is not None:
-                for span in root.iter_spans():
-                    tracer.on_span_end(span)
-
-    # -- streaming execution -------------------------------------------------
-
-    def _stage_context(self):
-        @contextlib.contextmanager
-        def enter():
-            with self.obs.activate(), bind_context(stage="endpoints"):
-                yield
-        return enter
-
-    def _lost_shard(self, shard):
-        """Quarantine outcome for a shard whose workers kept dying."""
-        self._drops.labels(reason=WORKER_LOST_SLUG).inc()
-        self.log.warning("shard_lost", app=shard.spec.package,
-                         attempts=self.exec_config.max_attempts)
-        outcome = EndpointShardOutcome(shard.position, shard.sha256,
-                                       shard.spec.package)
-        outcome.error = WORKER_LOST_SLUG
-        outcome.message = ("worker lost after %d attempts"
-                           % self.exec_config.max_attempts)
-        outcome.spans = []
-        return outcome
-
-    def _assign_workers(self, executed, workers):
-        for outcome, worker in zip(executed, workers):
-            outcome.worker = worker
-            label = "w%d" % worker
-            if outcome.span is not None:
-                outcome.span.set_attribute("worker", label)
-            for root in self._replayed_roots.pop(outcome.position, ()):
-                root.set_attribute("worker", label)
-
-    def _record_stream_metrics(self, scheduler, schedule):
-        self.obs.counter(
-            EXEC_STEALS_METRIC,
-            "Work-steal events in the simulated streamed schedule.",
-        ).inc(schedule.steals)
-        self.obs.counter(
-            EXEC_CHUNKS_REPAIRED_METRIC,
-            "Chunks re-run after losing their worker mid-flight.",
-        ).inc(scheduler.repaired_chunks)
-        self.obs.counter(
-            EXEC_TASKS_QUARANTINED_METRIC,
-            "Tasks dropped as worker_lost after the retry budget.",
-        ).inc(scheduler.quarantined_tasks)
-
-    # -- metrics -------------------------------------------------------------
-
-    def _record_exec_metrics(self, outcomes, shard_count, schedule):
-        """Deterministic execution metrics for the run report."""
-        config = self.exec_config
-        self.obs.gauge(
-            EXEC_WORKERS_METRIC, "Configured worker count.",
-        ).set(config.max_workers)
-        self.obs.gauge(
-            EXEC_CHUNK_SIZE_METRIC, "Tasks per worker dispatch.",
-        ).set(config.chunk_size)
-        self.obs.gauge(
-            EXEC_BACKEND_METRIC, "Resolved execution backend (info).",
-            ("backend",),
-        ).labels(backend=config.resolved_backend).set(1)
-        chunks = -(-shard_count // config.chunk_size) if shard_count else 0
-        self.obs.gauge(
-            EXEC_QUEUE_DEPTH_METRIC,
-            "High-water mark of chunks in the bounded work queue.",
-        ).set(min(config.window, chunks))
-        tasks = self.obs.counter(
-            EXEC_TASKS_METRIC, "Per-app tasks, by outcome.", ("status",),
-        )
-        for outcome in outcomes:
-            if outcome.cached:
-                tasks.labels(status="cached").inc()
-            elif outcome.error is not None:
-                tasks.labels(status="failed").inc()
-            else:
-                tasks.labels(status="ok").inc()
-        busy = self.obs.counter(
-            EXEC_WORKER_BUSY_METRIC,
-            "Clock units each worker spent analyzing apps.",
-            ("worker",),
-        )
-        for worker, amount in enumerate(schedule.worker_busy):
-            if amount:
-                busy.labels(worker="w%d" % worker).inc(amount)
-        self.obs.gauge(
-            EXEC_CRITICAL_PATH_METRIC,
-            "Makespan of the (simulated greedy) worker schedule.",
-        ).set(schedule.critical_path)
-
-    def _record_summary_metrics(self, outcomes, prior):
-        """Deterministic summary-cache accounting, selection-order replay.
-
-        The same discipline as the pipeline's class-facts accounting
-        (DESIGN.md §10): merge every shard's shipped summaries, then
-        replay each outcome's ordered digest stream — a digest is a hit
-        iff cached before this run or seen earlier in the replay.
-        """
-        summaries = self.cache.summaries
-        for outcome in outcomes:
-            if outcome.new_facts:
-                summaries.merge(outcome.new_facts)
-        prior = set(prior)
-        seen = set()
-        hits = misses = 0
-        deduped = 0
-        saved = 0.0
-        for outcome in outcomes:
-            if not outcome.class_digests:
-                continue
-            for digest in outcome.class_digests:
-                if digest in prior or digest in seen:
-                    hits += 1
-                    summary = summaries.peek(digest)
-                    if summary is not None:
-                        deduped += summary.canonical_size
-                        saved += summary.cost
-                else:
-                    misses += 1
-                    seen.add(digest)
-        self.obs.counter(
-            ENDPOINTS_SUMMARY_CACHE_HITS_METRIC,
-            "Summary lookups served without re-interpretation.",
-        ).inc(hits)
-        self.obs.counter(
-            ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC,
-            "Summary lookups that interpreted fresh bytecode.",
-        ).inc(misses)
-        self.obs.counter(
-            ENDPOINTS_SUMMARY_BYTES_DEDUPED_METRIC,
-            "Canonical class bytes not re-interpreted thanks to the cache.",
-        ).inc(deduped)
-        self.obs.counter(
-            ENDPOINTS_SUMMARY_TIME_SAVED_METRIC,
-            "Estimated clock units saved by summary reuse.",
-        ).inc(saved)
-
-    def _record_eviction_metrics(self, before):
-        """Per-tier LRU eviction deltas for this run (nonzero only)."""
-        apk_before, summary_before = before
-        counter = self.obs.counter(
-            EXEC_CACHE_EVICTIONS_METRIC,
-            "LRU evictions from the two-tier analysis cache, by tier.",
-            ("tier",),
-        )
-        apk_delta = self.cache.evictions - apk_before
-        summary_delta = self.cache.summaries.evictions - summary_before
-        if apk_delta:
-            counter.labels(tier="apk").inc(apk_delta)
-        if summary_delta:
-            counter.labels(tier="summary").inc(summary_delta)
+        if outcome.cacheable and not outcome.cached:
+            self.cache.put(outcome.sha256, self.fingerprint,
+                           (outcome.record, outcome.error, outcome.message))
+        if outcome.error is not None:
+            self.log.warning("app_failed", reason=outcome.error,
+                             detail=outcome.message, cached=outcome.cached)
+            return
+        app = outcome.record
+        for record in app.records:
+            record.sdk = self._attribution(app.package, record.owner_package)
+            kind = "partial" if record.partial else "full"
+            self._found_metric.labels(kind=kind).inc()
+            if record.cleartext:
+                self._cleartext_metric.inc()
+            if record.credentials:
+                self._credentials_metric.inc()
+        apps.append(app)
+        self._apps_metric.inc()
 
     def run_report(self):
         """The census's run report (includes the Static endpoints table)."""
@@ -915,8 +650,8 @@ class EndpointCensus:
         )
 
 
-class EndpointStreamPlan:
-    """One census's opened streaming run (the crawl-plan pattern).
+class EndpointStreamPlan(StreamPlan):
+    """One census's opened run (see :class:`~repro.exec.StreamPlan`).
 
     Shards stream through the scheduler's bounded in-flight window;
     cached positions short-circuit through the same selection-order
@@ -924,72 +659,45 @@ class EndpointStreamPlan:
     APK bytes — so memory stays bounded at corpus scale.
     """
 
+    name = "endpoints"
+    root = "endpoints"
+    digest_metrics = (
+        (ENDPOINTS_SUMMARY_CACHE_HITS_METRIC,
+         "Summary lookups served without re-interpretation."),
+        (ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC,
+         "Summary lookups that interpreted fresh bytecode."),
+        (ENDPOINTS_SUMMARY_BYTES_DEDUPED_METRIC,
+         "Canonical class bytes not re-interpreted thanks to the cache."),
+        (ENDPOINTS_SUMMARY_TIME_SAVED_METRIC,
+         "Estimated clock units saved by summary reuse."),
+    )
+
     def __init__(self, census, progress=None):
         self.census = census
         self.apps = []
-        self.executed = []
-        self._ctx = census._stage_context()
-        census._replayed_roots.clear()
-        with self._ctx():
-            self._endpoints_cm = census.obs.span(
-                "endpoints", apps=len(census.apps)
-            )
-            self.endpoints_span = self._endpoints_cm.__enter__()
-            self.summary_enabled = census.exec_config.endpoint_cache
-            self.prior_digests = (census.cache.summaries.known_digests()
-                                  if self.summary_enabled else ())
-            self.evictions_before = (census.cache.evictions,
-                                     census.cache.summaries.evictions)
-            self.outcomes, shards = census._prepare()
-            self.stage = StreamStage(
-                "endpoints", shards, census._shard_fn(),
-                on_lost=census._lost_shard,
-                chunk_size=census.exec_config.chunk_size,
-                context=self._ctx,
-            )
-            self.stage.consume_ordered(self._on_ordered)
-            self.stage.consume(progress)
-            self._execute_cm = census.obs.span(
-                "execute", backend=census.exec_config.resolved_backend,
-                workers=census.exec_config.max_workers, shards=len(shards),
-            )
-            self.execute_span = self._execute_cm.__enter__()
-            census._execute_span = self.execute_span
-            if hasattr(progress, "begin"):
-                progress.begin(len(shards))
+        cache = census.cache
+        if census.exec_config.endpoint_cache:
+            self.digest_cache = cache.summaries
+        self.eviction_tiers = {"apk": cache, "summary": cache.summaries}
+        super().__init__(census, sinks=progress, apps=len(census.apps))
 
-    def _on_ordered(self, index, outcome):
-        self.executed.append(outcome)
+    def prepare(self):
+        return self.census._prepare()
 
-    def costs(self):
-        return [outcome.cost for outcome in self.executed]
+    def task_fn(self):
+        return self.census._shard_fn()
 
-    def finalize(self, scheduler, schedule=None, assignments=None):
-        """Close the run: schedule replay, metrics, merge. Returns result."""
-        census = self.census
-        with self._ctx():
-            self._execute_cm.__exit__(None, None, None)
-            for outcome in self.executed:
-                self.outcomes[outcome.position] = outcome
-            if schedule is None:
-                schedule, per_stage = scheduler.simulate([self.costs()])
-                assignments = per_stage[0]
-            census._assign_workers(self.executed, assignments)
-            view = stage_schedule_view(census.exec_config, assignments,
-                                       self.costs(), schedule)
-            census._record_exec_metrics(self.outcomes,
-                                        len(self.stage.tasks), view)
-            census._record_stream_metrics(scheduler, schedule)
-            if self.summary_enabled:
-                census._record_summary_metrics(self.outcomes,
-                                               self.prior_digests)
-            for outcome in self.outcomes:
-                census._merge_outcome(outcome, self.apps)
-            census._record_eviction_metrics(self.evictions_before)
-            census.log.info(
-                "census_complete", apps=len(self.apps),
-                endpoints=sum(len(a.records) for a in self.apps),
-                workers=census.exec_config.max_workers,
-            )
-            self._endpoints_cm.__exit__(None, None, None)
+    def merge(self, outcome):
+        self.census._merge_outcome(outcome, self.apps)
+
+    def lost(self, shard, message):
+        return EndpointShardOutcome(shard.position, shard.sha256,
+                                    shard.spec.package)
+
+    def build_result(self):
+        self.log.info(
+            "census_complete", apps=len(self.apps),
+            endpoints=sum(len(a.records) for a in self.apps),
+            workers=self.config.max_workers,
+        )
         return EndpointResult(self.apps)

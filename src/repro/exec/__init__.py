@@ -2,17 +2,24 @@
 
 The paper's static pipeline covers ~146.5K APKs; at that scale per-app
 analysis must be batched across workers (the same move DroidMeter and
-Rapoport et al. made). This package provides the pieces the pipelines
+Rapoport et al. made). This package provides the pieces the studies
 shard themselves with:
 
 - **configuration** (:mod:`repro.exec.config`): :class:`ExecConfig` reads
   ``REPRO_MAX_WORKERS`` / ``REPRO_CHUNK_SIZE`` / ``REPRO_EXEC_BACKEND``
   and resolves the backend (``process`` when more than one worker is
   requested, ``inline`` otherwise).
-- **worker pools** (:mod:`repro.exec.pool`): a process-backed pool with a
-  bounded in-flight chunk window, plus an in-process deterministic
-  fallback used for single-worker runs, for tests, and wherever process
-  pools are unavailable. Both return results in input order.
+- **the executor** (:mod:`repro.exec.stream`): every sharded workload
+  opens a :class:`StreamPlan` — the shard lifecycle the workloads
+  share: spans, selection-order merge, worker attribution, exec metrics
+  and quarantine — whose stage a :class:`StreamScheduler` drains,
+  in-process at one worker and on a process pool with a bounded
+  in-flight chunk window otherwise. Results flow to consumers as they
+  complete, with round-robin chunk interleaving across stages,
+  cancel-and-split work stealing for straggler tails, and a
+  worker-death repair pass that bisects lost chunks and quarantines a
+  repeat offender into the drop taxonomy after ``REPRO_EXEC_RETRIES``
+  attempts.
 - **result cache** (:mod:`repro.exec.cache`): :class:`AnalysisCache`, a
   two-tier LRU-bounded store — SHA-256-keyed per-APK outcomes on top of a
   corpus-wide content-addressed :class:`ClassFactsCache`, so repeated
@@ -20,25 +27,17 @@ shard themselves with:
   once per corpus (``REPRO_CACHE_MAX_ENTRIES`` bounds both tiers,
   ``REPRO_CACHE_DIR`` adds an on-disk class-facts layer,
   ``REPRO_CLASS_CACHE=0`` disables class-level memoization).
-- **schedule accounting** (:mod:`repro.exec.schedule`): deterministic
-  simulations over measured task costs — a greedy earliest-free-worker
-  replay for the barrier pools and an event-driven streaming replay
-  (ready times, work steals) for the streaming scheduler; the run
-  report's parallel-speedup figure (work / critical path) comes from
-  them, independent of real scheduling jitter.
-- **streaming scheduler** (:mod:`repro.exec.stream`): stages declare
-  their downstream consumers and results flow as they complete, with
-  round-robin chunk interleaving across stages, cancel-and-split work
-  stealing for straggler tails, and a worker-death repair pass that
-  bisects lost chunks and quarantines a repeat offender into the drop
-  taxonomy after ``REPRO_EXEC_RETRIES`` attempts. Enabled per study via
-  ``REPRO_EXEC_STREAMING`` or ``ExecConfig(streaming=True)``.
+- **schedule accounting** (:mod:`repro.exec.schedule`): a deterministic
+  event-driven replay of the scheduler's policy over measured task
+  costs; the run report's worker attribution, steal count and
+  parallel-speedup figure (work / critical path) come from it,
+  independent of real scheduling jitter.
 
-Determinism contract: results are aggregated in submission order and the
+Determinism contract: results are aggregated in selection order and the
 per-task work is a pure function of the APK bytes, so a same-seed study
-produces byte-identical tables for any worker count or backend — with
-the streaming scheduler included, whose ordered consumers see exact
-task order via a prefix-flush buffer however chunks complete.
+produces byte-identical tables for any worker count or backend — the
+scheduler's ordered consumers see exact task order via a prefix-flush
+buffer however chunks complete.
 """
 
 from repro.exec.cache import (
@@ -65,30 +64,23 @@ from repro.exec.config import (
     MAX_WORKERS_ENV_VAR,
     RETRIES_ENV_VAR,
     SCRIPT_CACHE_ENV_VAR,
-    STREAMING_ENV_VAR,
     WINDOW_ENV_VAR,
-)
-from repro.exec.pool import (
-    InlinePool,
-    ProcessPool,
-    WorkerPool,
-    chain_results,
-    make_pool,
-    process_backend_available,
 )
 from repro.exec.schedule import (
     Schedule,
-    StreamSchedule,
-    simulate_schedule,
     simulate_stream,
     simulate_stream_chunks,
 )
 from repro.exec.stream import (
     OrderedFlush,
+    StreamPlan,
     StreamScheduler,
     StreamStage,
+    TaskOutcome,
     WORKER_LOST_SLUG,
-    stage_schedule_view,
+    chain_results,
+    process_backend_available,
+    run_plans,
 )
 
 __all__ = [
@@ -107,28 +99,23 @@ __all__ = [
     "ENDPOINT_SUMMARY_KIND",
     "ExecConfig",
     "ExecConfigError",
-    "InlinePool",
     "LruStore",
     "MAX_ENTRIES_ENV_VAR",
     "MAX_WORKERS_ENV_VAR",
     "OrderedFlush",
-    "ProcessPool",
     "RETRIES_ENV_VAR",
     "SCRIPT_CACHE_ENV_VAR",
-    "STREAMING_ENV_VAR",
     "Schedule",
-    "StreamSchedule",
+    "StreamPlan",
     "StreamScheduler",
     "StreamStage",
+    "TaskOutcome",
     "WINDOW_ENV_VAR",
     "WORKER_LOST_SLUG",
-    "WorkerPool",
     "chain_results",
     "env_max_entries",
-    "make_pool",
     "process_backend_available",
-    "simulate_schedule",
+    "run_plans",
     "simulate_stream",
     "simulate_stream_chunks",
-    "stage_schedule_view",
 ]

@@ -18,10 +18,9 @@ evaluator (off by default so uninstrumented runs stay byte-identical;
 see :mod:`repro.impact`).
 
 ``REPRO_EXEC_WINDOW`` overrides the in-flight chunk window (default
-``2 * max_workers``), ``REPRO_EXEC_STREAMING`` routes the studies
-through the streaming DAG scheduler (:mod:`repro.exec.stream`) instead
-of the barrier pools, and ``REPRO_EXEC_RETRIES`` is the per-shard retry
-budget before a lost task is quarantined into the drop taxonomy.
+``2 * max_workers``) of the streaming scheduler
+(:mod:`repro.exec.stream`), and ``REPRO_EXEC_RETRIES`` is the per-shard
+retry budget before a lost task is quarantined into the drop taxonomy.
 """
 
 import os
@@ -34,7 +33,6 @@ SCRIPT_CACHE_ENV_VAR = "REPRO_SCRIPT_CACHE"
 ENDPOINT_CACHE_ENV_VAR = "REPRO_ENDPOINT_CACHE"
 TAINT_ENV_VAR = "REPRO_TAINT"
 WINDOW_ENV_VAR = "REPRO_EXEC_WINDOW"
-STREAMING_ENV_VAR = "REPRO_EXEC_STREAMING"
 RETRIES_ENV_VAR = "REPRO_EXEC_RETRIES"
 
 BACKEND_AUTO = "auto"
@@ -84,14 +82,15 @@ class ExecConfig:
     ride in one worker dispatch, and the in-flight window (submitted but
     unfinished chunks) defaults to ``2 * max_workers`` so arbitrarily
     large corpora never pile up in the executor's queue
-    (``REPRO_EXEC_WINDOW`` / ``window=`` override it). ``streaming``
-    hands execution to the :mod:`repro.exec.stream` DAG scheduler and
-    ``max_attempts`` bounds its repair retries per lost shard.
+    (``REPRO_EXEC_WINDOW`` / ``window=`` override it). ``max_attempts``
+    bounds the :mod:`repro.exec.stream` scheduler's repair retries per
+    lost shard. One worker runs in-process; more run on a process pool
+    unless ``backend`` pins one.
     """
 
     def __init__(self, max_workers=None, chunk_size=None, backend=None,
                  class_cache=None, script_cache=None, endpoint_cache=None,
-                 window=None, streaming=None, max_attempts=None):
+                 window=None, max_attempts=None):
         if max_workers is None:
             max_workers = _env_int(MAX_WORKERS_ENV_VAR, 1)
         if chunk_size is None:
@@ -106,8 +105,6 @@ class ExecConfig:
             endpoint_cache = _env_flag(ENDPOINT_CACHE_ENV_VAR, True)
         if window is None:
             window = _env_int(WINDOW_ENV_VAR, None)
-        if streaming is None:
-            streaming = _env_flag(STREAMING_ENV_VAR, False)
         if max_attempts is None:
             max_attempts = _env_int(RETRIES_ENV_VAR, DEFAULT_MAX_ATTEMPTS)
         if max_workers < 1:
@@ -132,7 +129,6 @@ class ExecConfig:
         self.script_cache = bool(script_cache)
         self.endpoint_cache = bool(endpoint_cache)
         self._window = int(window) if window is not None else None
-        self.streaming = bool(streaming)
         self.max_attempts = int(max_attempts)
 
     @property

@@ -1,28 +1,24 @@
-"""Deterministic schedule accounting for sharded runs.
+"""Deterministic schedule accounting for streamed runs.
 
 Real process pools complete chunks in timing-dependent order, which would
 make worker-attribution metrics (and therefore run reports) flap between
-identical runs. Instead, the pipeline measures each task's cost and
-replays the schedule here: consecutive chunks are assigned greedily to
-the earliest-free worker, exactly as a FIFO chunk queue drains. The
-resulting per-worker busy times and critical path are a deterministic
-function of the costs alone, and the reported parallel speedup —
-``total work / critical path`` — is the makespan speedup of that
-schedule, which real hardware approaches when it has the cores.
+identical runs. Instead, every study measures each task's cost and
+replays its dispatch order here: an event-driven model of the streaming
+scheduler (:mod:`repro.exec.stream`) in which chunks leave one FIFO
+queue for the earliest-free worker and, with ``steal`` on, an idle
+worker takes the tail half of the most-loaded worker's unstarted tasks —
+the limit the real scheduler's cancel-and-split steal policy approaches
+at task granularity. With ``steal=False`` the replay is a plain greedy
+FIFO drain: each chunk runs on the earliest-free worker.
 
-:func:`simulate_stream` is the streaming-scheduler analogue
-(:mod:`repro.exec.stream`): an event-driven replay that additionally
-models per-chunk *ready times* (a chunk may arrive mid-run, e.g. when a
-downstream stage's work is produced by an upstream one) and *work
-stealing* (an idle worker takes the tail half of the most-loaded
-worker's unstarted tasks). It is the limit the real scheduler's
-cancel-and-split steal policy approaches at task granularity, and —
-like the greedy replay — a pure function of the costs, so exec metrics
-stay byte-identical between identical runs no matter how the actual
-pool interleaved.
+The result is a pure function of the costs, so per-worker busy times,
+steal counts and the reported parallel speedup — ``total work /
+critical path`` — stay byte-identical between identical runs no matter
+how the actual pool interleaved.
 """
 
 import heapq
+from collections import deque
 
 from repro.exec.config import ExecConfigError
 
@@ -30,18 +26,24 @@ from repro.exec.config import ExecConfigError
 class Schedule:
     """Outcome of one simulated run: assignments, busy times, makespan."""
 
-    def __init__(self, max_workers, chunk_size, assignments, worker_busy):
+    def __init__(self, max_workers, chunk_size, assignments, worker_busy,
+                 makespan, steals=0):
         self.max_workers = max_workers
         self.chunk_size = chunk_size
         #: Worker index per task, in task order.
         self.assignments = list(assignments)
         #: Total busy time per worker index.
         self.worker_busy = list(worker_busy)
+        #: Finish time of the last task (a starved worker's idle gaps
+        #: included).
+        self.makespan = makespan
+        #: Work-stealing events.
+        self.steals = steals
 
     @property
     def critical_path(self):
-        """Makespan: the busiest worker's total time."""
-        return max(self.worker_busy) if self.worker_busy else 0.0
+        """The makespan: what a run on real cores approaches."""
+        return self.makespan
 
     @property
     def total_busy(self):
@@ -54,140 +56,60 @@ class Schedule:
         return self.total_busy / critical if critical else 1.0
 
     def __repr__(self):
-        return "Schedule(%d tasks on %d workers, %.2fx)" % (
-            len(self.assignments), self.max_workers, self.speedup
-        )
-
-
-def simulate_schedule(costs, max_workers, chunk_size):
-    """Greedily schedule consecutive cost chunks onto ``max_workers``.
-
-    Each chunk of ``chunk_size`` consecutive tasks goes to the worker
-    with the least accumulated busy time (ties break on the lowest
-    worker index), mirroring a FIFO queue where every task is ready at
-    time zero. Returns a :class:`Schedule`.
-    """
-    if max_workers < 1:
-        raise ExecConfigError(
-            "simulate_schedule needs max_workers >= 1, got %d" % max_workers
-        )
-    if chunk_size < 1:
-        raise ExecConfigError(
-            "simulate_schedule needs chunk_size >= 1, got %d" % chunk_size
-        )
-    busy = [0.0] * max_workers
-    assignments = []
-    for start in range(0, len(costs), chunk_size):
-        chunk = costs[start:start + chunk_size]
-        worker = min(range(max_workers), key=lambda w: (busy[w], w))
-        busy[worker] += sum(chunk)
-        assignments.extend([worker] * len(chunk))
-    return Schedule(max_workers, chunk_size, assignments, busy)
-
-
-class StreamSchedule(Schedule):
-    """Outcome of one simulated streaming run.
-
-    Extends :class:`Schedule` with the stream-specific figures: the
-    makespan accounts for idle gaps (a worker can be starved while a
-    chunk is not ready yet), ``steals`` counts work-stealing events, and
-    ``finish_times`` gives each task's completion time — what
-    selection-order replay of completion events is modeled from.
-    """
-
-    def __init__(self, max_workers, chunk_size, assignments, worker_busy,
-                 makespan, steals, finish_times):
-        super().__init__(max_workers, chunk_size, assignments, worker_busy)
-        self.makespan = makespan
-        self.steals = steals
-        #: Completion time per task, in task order.
-        self.finish_times = list(finish_times)
-
-    @property
-    def critical_path(self):
-        """Makespan of the streamed schedule (idle gaps included)."""
-        return self.makespan
-
-    def __repr__(self):
-        return "StreamSchedule(%d tasks on %d workers, %.2fx, %d steals)" % (
+        return "Schedule(%d tasks on %d workers, %.2fx, %d steals)" % (
             len(self.assignments), self.max_workers, self.speedup,
             self.steals,
         )
 
 
-def simulate_stream(costs, max_workers, chunk_size, ready_times=None,
-                    steal=True):
-    """Streaming-scheduler replay over consecutive cost chunks.
+def simulate_stream(costs, max_workers, chunk_size, steal=True):
+    """Replay ``costs`` split into consecutive ``chunk_size`` chunks.
 
-    Convenience wrapper over :func:`simulate_stream_chunks` chunking
-    ``costs`` exactly as the pools do (``chunk_size`` consecutive
-    tasks); ``ready_times``, when given, is per-task and a chunk becomes
-    ready when its last task has (ready = max over the chunk).
+    Convenience wrapper over :func:`simulate_stream_chunks`, chunking
+    the costs exactly as a single-stage run dispatches its tasks.
     """
     if chunk_size < 1:
         raise ExecConfigError(
             "simulate_stream needs chunk_size >= 1, got %d" % chunk_size
         )
-    chunks = []
-    ready = []
-    for start in range(0, len(costs), chunk_size):
-        chunk = list(costs[start:start + chunk_size])
-        chunks.append(chunk)
-        if ready_times is not None:
-            ready.append(max(ready_times[start:start + chunk_size]))
-    return simulate_stream_chunks(
-        chunks, max_workers,
-        ready_times=ready if ready_times is not None else None,
-        steal=steal, chunk_size=chunk_size,
-    )
+    chunks = [costs[start:start + chunk_size]
+              for start in range(0, len(costs), chunk_size)]
+    return simulate_stream_chunks(chunks, max_workers, steal=steal,
+                                  chunk_size=chunk_size)
 
 
-def simulate_stream_chunks(chunks, max_workers, ready_times=None, steal=True,
-                           chunk_size=None):
+def simulate_stream_chunks(chunks, max_workers, steal=True, chunk_size=None):
     """Event-driven replay of the streaming scheduler's policy.
 
-    ``chunks`` is a list of cost lists — heterogeneous sizes are fine,
-    which is how interleaved multi-study workloads are modeled (each
-    stage contributes its own chunks to one queue). Chunks enter a FIFO
-    queue at their ``ready_times`` (default: all ready at 0). A free
-    worker takes the earliest-queued ready chunk and runs its tasks
-    consecutively; when the queue is dry, an idle worker steals the tail
-    half of the unstarted tasks of the most-loaded worker (ties break on
-    the lowest worker index). Deterministic: a pure function of the
-    inputs, with all ties broken on (time, worker index).
+    ``chunks`` is a list of cost lists in dispatch order — heterogeneous
+    sizes are fine, which is how interleaved multi-study runs are
+    modeled (each stage contributes its own chunks to one queue). A free
+    worker takes the next queued chunk and runs its tasks consecutively;
+    when the queue is dry and ``steal`` is on, an idle worker steals the
+    tail half of the unstarted tasks of the most-loaded worker (ties
+    break on the lowest worker index). Deterministic: all ties break on
+    (time, worker index).
 
-    Returns a :class:`StreamSchedule` whose ``assignments`` and
-    ``finish_times`` are flat and follow chunk order.
+    Returns a :class:`Schedule` whose ``assignments`` are flat and
+    follow chunk order.
     """
     if max_workers < 1:
         raise ExecConfigError(
             "simulate_stream needs max_workers >= 1, got %d" % max_workers
         )
-    if ready_times is None:
-        ready_times = [0.0] * len(chunks)
-    if len(ready_times) != len(chunks):
-        raise ExecConfigError(
-            "ready_times must match chunks: %d != %d"
-            % (len(ready_times), len(chunks))
-        )
-    # Flatten to (flat task index, cost); chunks keep their identity as
-    # (ready, deque of tasks) entries in the FIFO queue.
-    total = sum(len(chunk) for chunk in chunks)
-    assignments = [None] * total
-    finish_times = [0.0] * total
-    busy = [0.0] * max_workers
-    pending = []
+    # Flatten to (flat task index, cost); each chunk keeps its identity
+    # as one entry of the FIFO queue.
+    queue = deque()
     flat = 0
-    for ready, chunk in zip(ready_times, chunks):
-        tasks = []
-        for cost in chunk:
-            tasks.append((flat, cost))
-            flat += 1
-        if tasks:
-            pending.append([float(ready), tasks])
-    pending.sort(key=lambda entry: entry[0])
+    for chunk in chunks:
+        if chunk:
+            queue.append([(flat + offset, cost)
+                          for offset, cost in enumerate(chunk)])
+            flat += len(chunk)
+    assignments = [None] * flat
+    busy = [0.0] * max_workers
 
-    #: Per-worker deque of unstarted (index, cost) tasks.
+    #: Per-worker list of unstarted (index, cost) tasks.
     local = [[] for _ in range(max_workers)]
     steals = 0
     makespan = 0.0
@@ -196,16 +118,14 @@ def simulate_stream_chunks(chunks, max_workers, ready_times=None, steal=True,
     heapq.heapify(events)
     idle = set()
 
-    def next_task(worker, now):
-        """The next task for ``worker`` at ``now``, or None."""
+    def next_task(worker):
+        """The next task for ``worker``, or None."""
         nonlocal steals
         if local[worker]:
             return local[worker].pop(0)
-        for entry in pending:
-            if entry[0] <= now:
-                pending.remove(entry)
-                local[worker] = entry[1]
-                return local[worker].pop(0)
+        if queue:
+            local[worker] = queue.popleft()
+            return local[worker].pop(0)
         if steal:
             victims = [
                 v for v in range(max_workers) if v != worker and local[v]
@@ -224,21 +144,13 @@ def simulate_stream_chunks(chunks, max_workers, ready_times=None, steal=True,
 
     while events:
         now, worker = heapq.heappop(events)
-        task = next_task(worker, now)
+        task = next_task(worker)
         if task is None:
-            if pending:
-                # Starved but more chunks arrive later: wake at the
-                # earliest future ready time.
-                wake = min(entry[0] for entry in pending)
-                if wake > now:
-                    heapq.heappush(events, (wake, worker))
-                    continue
             idle.add(worker)
             continue
         index, cost = task
         finish = now + cost
         assignments[index] = worker
-        finish_times[index] = finish
         busy[worker] += cost
         makespan = max(makespan, finish)
         heapq.heappush(events, (finish, worker))
@@ -248,5 +160,5 @@ def simulate_stream_chunks(chunks, max_workers, ready_times=None, steal=True,
 
     if chunk_size is None:
         chunk_size = max((len(chunk) for chunk in chunks), default=1)
-    return StreamSchedule(max_workers, chunk_size, assignments, busy,
-                          makespan, steals, finish_times)
+    return Schedule(max_workers, chunk_size, assignments, busy, makespan,
+                    steals)

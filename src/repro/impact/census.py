@@ -5,49 +5,27 @@ One shard per app, exactly the crawler's discipline
 per-shard tracer with a deterministic tick clock, exports its span
 tree, and ships picklable findings back to the parent, which merges
 them — and records every metric — in app selection order. The census is
-therefore byte-identical at any worker count, on both exec backends,
-and with the streaming DAG scheduler on or off.
+therefore byte-identical at any worker count and on both exec backends.
 
 The ranking tables order SDKs by injection *capability* (highest
 severity reached, then how often), not by how many injections were
 counted — the distinction the paper's Table 8 cannot make.
 """
 
-import contextlib
 import functools
 import time
 
 from repro.dynamic.manual_study import ManualStudy
-from repro.exec import (
-    ExecConfig,
-    StreamScheduler,
-    StreamStage,
-    WORKER_LOST_SLUG,
-    make_pool,
-    simulate_schedule,
-    stage_schedule_view,
-)
+from repro.exec import ExecConfig, StreamPlan, TaskOutcome
 from repro.exec.config import CHUNK_SIZE_ENV_VAR, _env_int
 from repro.impact.attacker import probe_app
 from repro.impact.severity import SEVERITY_ORDER, severity_rank
 from repro.obs import (
-    DROPS_METRIC,
-    EXEC_BACKEND_METRIC,
-    EXEC_CHUNK_SIZE_METRIC,
-    EXEC_CHUNKS_REPAIRED_METRIC,
-    EXEC_CRITICAL_PATH_METRIC,
-    EXEC_QUEUE_DEPTH_METRIC,
-    EXEC_STEALS_METRIC,
-    EXEC_TASKS_METRIC,
-    EXEC_TASKS_QUARANTINED_METRIC,
-    EXEC_WORKER_BUSY_METRIC,
-    EXEC_WORKERS_METRIC,
     IMPACT_APPS_METRIC,
     IMPACT_BRIDGES_METRIC,
     IMPACT_CLEARTEXT_METRIC,
     IMPACT_FINDINGS_METRIC,
     IMPACT_FLOWS_METRIC,
-    Span,
     TickClock,
     Tracer,
     bind_context,
@@ -81,20 +59,16 @@ class _ImpactSettings:
         self.real_clock = real_clock
 
 
-class ImpactShardOutcome:
+class ImpactShardOutcome(TaskOutcome):
     """One app shard's probe results, merged in selection order."""
 
-    __slots__ = ("position", "package", "record", "cost", "spans", "worker")
+    __slots__ = ("record",)
 
     def __init__(self, position, package):
-        self.position = position
-        self.package = package
+        super().__init__(position, package)
         #: The shard's :class:`~repro.impact.attacker.AppImpact`, or
         #: None for a quarantined shard.
         self.record = None
-        self.cost = 0.0
-        self.spans = None
-        self.worker = None
 
 
 def _run_impact_shard(settings, shard):
@@ -212,8 +186,6 @@ class ImpactCensus:
             ))
         self.exec_config = exec_config
         self.log = get_logger("impact.census")
-        self._execute_span = None
-        self._replayed_roots = {}
         self._apps_metric = self.obs.counter(
             IMPACT_APPS_METRIC, "Apps probed by the impact census.",
             ("kind",),
@@ -236,44 +208,11 @@ class ImpactCensus:
 
     def run(self, progress=None):
         """Run the census; returns an :class:`ImpactResult`."""
-        if self.exec_config.streaming:
-            return self.run_streaming(progress)
-        with self.obs.activate(), bind_context(stage="impact"), \
-                self.obs.span("impact", apps=len(self.apps)):
-            return self._run(progress)
-
-    def run_streaming(self, progress=None):
-        """Run the census on the streaming scheduler (same result bytes)."""
-        plan = self.stream_plan(progress=progress)
-        scheduler = StreamScheduler(self.exec_config, log=self.log)
-        scheduler.run([plan.stage])
-        return plan.finalize(scheduler)
+        return self.stream_plan(progress=progress).run()
 
     def stream_plan(self, progress=None):
-        """Open a streaming census; see :class:`ImpactStreamPlan`."""
+        """Open a census; see :class:`ImpactStreamPlan`."""
         return ImpactStreamPlan(self, progress=progress)
-
-    def _shard_list(self):
-        shards = [ImpactShard(position, app)
-                  for position, app in enumerate(self.apps)]
-        return list(self.apps), shards
-
-    def _run(self, progress):
-        apps, shards = self._shard_list()
-        outcomes = self._run_shards(shards, progress)
-        schedule = simulate_schedule([o.cost for o in outcomes],
-                                     self.exec_config.max_workers,
-                                     self.exec_config.chunk_size)
-        for outcome, worker in zip(outcomes, schedule.assignments):
-            outcome.worker = worker
-        self._record_exec_metrics(outcomes, schedule)
-        records = []
-        for app, outcome in zip(apps, outcomes):
-            self._merge_shard(app, outcome, records)
-        self.log.info("census_complete", apps=len(records),
-                      findings=sum(len(r.findings) for r in records),
-                      workers=self.exec_config.max_workers)
-        return ImpactResult(records)
 
     def _shard_fn(self):
         settings = _ImpactSettings(
@@ -282,27 +221,8 @@ class ImpactCensus:
         )
         return functools.partial(_run_impact_shard, settings)
 
-    def _run_shards(self, shards, progress):
-        pool = make_pool(self.exec_config, log=self.log)
-        fn = self._shard_fn()
-        with self.obs.span("execute", backend=pool.name,
-                           workers=self.exec_config.max_workers,
-                           shards=len(shards)) as execute_span:
-            self._execute_span = execute_span
-            if hasattr(progress, "begin"):
-                progress.begin(len(shards))
-            outcomes = pool.map(shards, fn, on_result=progress)
-        if pool.repaired_chunks:
-            self.obs.counter(
-                EXEC_CHUNKS_REPAIRED_METRIC,
-                "Chunks re-run after losing their worker mid-flight.",
-            ).inc(pool.repaired_chunks)
-        return outcomes
-
-    def _merge_shard(self, app, outcome, records):
+    def _merge_shard(self, outcome, records):
         """Fold one shard into the census (selection order)."""
-        with bind_context(package=app.package):
-            self._replay_shard_spans(outcome)
         record = outcome.record
         if record is None:
             return
@@ -318,104 +238,6 @@ class ImpactCensus:
             if finding.flow_count:
                 self._flows_metric.inc(finding.flow_count)
 
-    def _replay_shard_spans(self, outcome):
-        """Attach a shard's exported span tree to the census tracer."""
-        tracer = self.obs.tracer
-        for data in outcome.spans:
-            root = Span.from_dict(data)
-            if outcome.worker is not None:
-                root.set_attribute("worker", "w%d" % outcome.worker)
-            else:
-                self._replayed_roots.setdefault(outcome.position,
-                                                []).append(root)
-            parent = self._execute_span or tracer.current()
-            if parent is not None:
-                parent.children.append(root)
-            else:
-                tracer.roots.append(root)
-            if tracer.on_span_end is not None:
-                for span in root.iter_spans():
-                    tracer.on_span_end(span)
-
-    # -- streaming execution -----------------------------------------------
-
-    def _stage_context(self):
-        @contextlib.contextmanager
-        def enter():
-            with self.obs.activate(), bind_context(stage="impact"):
-                yield
-        return enter
-
-    def _lost_shard(self, shard):
-        """Quarantine outcome for a shard whose workers kept dying."""
-        self.obs.counter(
-            DROPS_METRIC,
-            "Apps dropped before successful analysis, by reason.",
-            ("reason",),
-        ).labels(reason=WORKER_LOST_SLUG).inc()
-        self.log.warning("shard_lost", app=shard.app.package,
-                         attempts=self.exec_config.max_attempts)
-        outcome = ImpactShardOutcome(shard.position, shard.app.package)
-        outcome.spans = []
-        return outcome
-
-    def _assign_workers(self, executed, workers):
-        for outcome, worker in zip(executed, workers):
-            outcome.worker = worker
-            for root in self._replayed_roots.pop(outcome.position, ()):
-                root.set_attribute("worker", "w%d" % worker)
-
-    def _record_stream_metrics(self, scheduler, schedule):
-        self.obs.counter(
-            EXEC_STEALS_METRIC,
-            "Work-steal events in the simulated streamed schedule.",
-        ).inc(schedule.steals)
-        self.obs.counter(
-            EXEC_CHUNKS_REPAIRED_METRIC,
-            "Chunks re-run after losing their worker mid-flight.",
-        ).inc(scheduler.repaired_chunks)
-        self.obs.counter(
-            EXEC_TASKS_QUARANTINED_METRIC,
-            "Tasks dropped as worker_lost after the retry budget.",
-        ).inc(scheduler.quarantined_tasks)
-
-    def _record_exec_metrics(self, outcomes, schedule):
-        """Deterministic execution metrics for the run report."""
-        config = self.exec_config
-        self.obs.gauge(
-            EXEC_WORKERS_METRIC, "Configured worker count.",
-        ).set(config.max_workers)
-        self.obs.gauge(
-            EXEC_CHUNK_SIZE_METRIC, "Tasks per worker dispatch.",
-        ).set(config.chunk_size)
-        self.obs.gauge(
-            EXEC_BACKEND_METRIC, "Resolved execution backend (info).",
-            ("backend",),
-        ).labels(backend=config.resolved_backend).set(1)
-        shard_count = len(outcomes)
-        chunks = -(-shard_count // config.chunk_size) if shard_count else 0
-        self.obs.gauge(
-            EXEC_QUEUE_DEPTH_METRIC,
-            "High-water mark of chunks in the bounded work queue.",
-        ).set(min(config.window, chunks))
-        tasks = self.obs.counter(
-            EXEC_TASKS_METRIC, "Per-app tasks, by outcome.", ("status",),
-        )
-        for _ in outcomes:
-            tasks.labels(status="ok").inc()
-        busy = self.obs.counter(
-            EXEC_WORKER_BUSY_METRIC,
-            "Clock units each worker spent analyzing apps.",
-            ("worker",),
-        )
-        for worker, amount in enumerate(schedule.worker_busy):
-            if amount:
-                busy.labels(worker="w%d" % worker).inc(amount)
-        self.obs.gauge(
-            EXEC_CRITICAL_PATH_METRIC,
-            "Makespan of the (simulated greedy) worker schedule.",
-        ).set(schedule.critical_path)
-
     def run_report(self):
         """The census's run report (includes the Injection impact table)."""
         return self.obs.run_report(
@@ -424,62 +246,38 @@ class ImpactCensus:
         )
 
 
-class ImpactStreamPlan:
-    """One census's opened streaming run (the crawl-plan pattern)."""
+class ImpactStreamPlan(StreamPlan):
+    """One census's opened run (see :class:`~repro.exec.StreamPlan`).
+
+    One shard per app; a shard lost to repeated worker death leaves its
+    app without a record.
+    """
+
+    name = "impact"
+    root = "impact"
 
     def __init__(self, census, progress=None):
         self.census = census
         self.records = []
-        self.executed = []
-        self._ctx = census._stage_context()
-        census._replayed_roots.clear()
-        with self._ctx():
-            self._impact_cm = census.obs.span(
-                "impact", apps=len(census.apps)
-            )
-            self.impact_span = self._impact_cm.__enter__()
-            self.apps, shards = census._shard_list()
-            self.stage = StreamStage(
-                "impact", shards, census._shard_fn(),
-                on_lost=census._lost_shard,
-                chunk_size=census.exec_config.chunk_size,
-                context=self._ctx,
-            )
-            self.stage.consume_ordered(self._on_ordered)
-            self.stage.consume(progress)
-            self._execute_cm = census.obs.span(
-                "execute", backend=census.exec_config.resolved_backend,
-                workers=census.exec_config.max_workers, shards=len(shards),
-            )
-            self.execute_span = self._execute_cm.__enter__()
-            census._execute_span = self.execute_span
-            if hasattr(progress, "begin"):
-                progress.begin(len(shards))
+        super().__init__(census, sinks=progress, apps=len(census.apps))
 
-    def _on_ordered(self, index, outcome):
-        self.executed.append(outcome)
-        self.census._merge_shard(self.apps[index], outcome, self.records)
+    def prepare(self):
+        return [ImpactShard(position, app)
+                for position, app in enumerate(self.census.apps)], []
 
-    def costs(self):
-        return [outcome.cost for outcome in self.executed]
+    def task_fn(self):
+        return self.census._shard_fn()
 
-    def finalize(self, scheduler, schedule=None, assignments=None):
-        """Close the run: schedule replay, metrics, spans. Returns result."""
-        census = self.census
-        with self._ctx():
-            self._execute_cm.__exit__(None, None, None)
-            if schedule is None:
-                schedule, per_stage = scheduler.simulate([self.costs()])
-                assignments = per_stage[0]
-            census._assign_workers(self.executed, assignments)
-            view = stage_schedule_view(census.exec_config, assignments,
-                                       self.costs(), schedule)
-            census._record_exec_metrics(self.executed, view)
-            census._record_stream_metrics(scheduler, schedule)
-            census.log.info(
-                "census_complete", apps=len(self.records),
-                findings=sum(len(r.findings) for r in self.records),
-                workers=census.exec_config.max_workers,
-            )
-            self._impact_cm.__exit__(None, None, None)
+    def merge(self, outcome):
+        self.census._merge_shard(outcome, self.records)
+
+    def lost(self, shard, message):
+        return ImpactShardOutcome(shard.position, shard.app.package)
+
+    def build_result(self):
+        self.log.info(
+            "census_complete", apps=len(self.records),
+            findings=sum(len(r.findings) for r in self.records),
+            workers=self.config.max_workers,
+        )
         return ImpactResult(self.records)

@@ -10,14 +10,15 @@ AndroZoo snapshot, fetch Play metadata, apply the 100K-downloads and
 updated-after-2021 filters, download APKs, and aggregate a
 :class:`~repro.static_analysis.results.StudyResult`.
 
-Per-app analysis is sharded across a :mod:`repro.exec` worker pool —
-process-backed when ``max_workers > 1``, in-process otherwise. Per-app
-failures (a broken APK, a failed download, any :class:`ReproError` from
-analysis) are isolated into the drop taxonomy instead of aborting the
-run, results are aggregated in selection order so same-seed studies are
-byte-identical at any worker count, and outcomes are memoized in a
-two-tier :class:`~repro.exec.AnalysisCache`: whole-APK outcomes keyed by
-``(sha256, options)`` on top, content-addressed per-class facts below.
+Per-app analysis is sharded over the :mod:`repro.exec` streaming
+scheduler — a process pool when ``max_workers > 1``, in-process
+otherwise. Per-app failures (a broken APK, a failed download, any
+:class:`ReproError` from analysis) are isolated into the drop taxonomy
+instead of aborting the run, results are aggregated in selection order
+so same-seed studies are byte-identical at any worker count, and
+outcomes are memoized in a two-tier :class:`~repro.exec.AnalysisCache`:
+whole-APK outcomes keyed by ``(sha256, options)`` on top,
+content-addressed per-class facts below.
 
 The class tier is what makes corpus-scale analysis cheap: the paper's
 SDK-concentration finding means the same class bytes recur across
@@ -31,7 +32,6 @@ class-cache metrics are accounted by a deterministic selection-order
 replay, never from scheduling-dependent worker-local counts.
 """
 
-import contextlib
 import datetime
 import functools
 import time
@@ -48,37 +48,20 @@ from repro.exec import (
     BACKEND_PROCESS,
     ClassFactsCache,
     ExecConfig,
-    OrderedFlush,
-    StreamScheduler,
-    StreamStage,
-    WORKER_LOST_SLUG,
+    StreamPlan,
+    TaskOutcome,
     chain_results,
-    make_pool,
-    simulate_schedule,
-    stage_schedule_view,
 )
 from repro.obs import (
     APPS_ANALYZED_METRIC,
     APPS_LISTED_METRIC,
     DROPS_METRIC,
-    EXEC_BACKEND_METRIC,
-    EXEC_CACHE_EVICTIONS_METRIC,
     EXEC_CACHE_HITS_METRIC,
     EXEC_CACHE_MISSES_METRIC,
-    EXEC_CHUNK_SIZE_METRIC,
-    EXEC_CHUNKS_REPAIRED_METRIC,
     EXEC_CLASS_BYTES_DEDUPED_METRIC,
     EXEC_CLASS_CACHE_HITS_METRIC,
     EXEC_CLASS_CACHE_MISSES_METRIC,
     EXEC_CLASS_TIME_SAVED_METRIC,
-    EXEC_CRITICAL_PATH_METRIC,
-    EXEC_QUEUE_DEPTH_METRIC,
-    EXEC_STEALS_METRIC,
-    EXEC_TASKS_METRIC,
-    EXEC_TASKS_QUARANTINED_METRIC,
-    EXEC_WORKER_BUSY_METRIC,
-    EXEC_WORKERS_METRIC,
-    Span,
     TickClock,
     Tracer,
     bind_context,
@@ -246,36 +229,24 @@ class AnalysisTask:
         self.installs = installs
 
 
-class AnalysisOutcome:
+class AnalysisOutcome(TaskOutcome):
     """Per-app execution outcome, aggregated in selection order.
 
-    ``error`` is a drop-taxonomy slug (None on success); ``spans`` holds
-    the worker's exported span tree for process-backed runs so the study
-    tracer can replay it; ``cacheable`` is False for download failures,
-    which must be retried on the next run. ``class_digests`` is the
-    app's ordered class-digest stream and ``new_facts`` the facts this
-    task computed rather than reused — the worker ship-back that warms
-    the corpus-level class cache and feeds its deterministic accounting.
+    On top of the shared :class:`~repro.exec.TaskOutcome` fields,
+    ``analysis`` is the app's :class:`AppAnalysis` (failed ones
+    included); ``class_digests`` is the app's ordered class-digest
+    stream and ``new_facts`` the facts this task computed rather than
+    reused — the worker ship-back that warms the corpus-level class
+    cache and feeds its deterministic accounting.
     """
 
-    __slots__ = ("position", "sha256", "package", "analysis", "error",
-                 "message", "cost", "spans", "span", "worker", "cached",
-                 "cacheable", "class_digests", "new_facts")
+    __slots__ = ("sha256", "analysis", "class_digests", "new_facts")
 
     def __init__(self, position, sha256, package, analysis, error=None,
                  message=None):
-        self.position = position
+        super().__init__(position, package, error, message)
         self.sha256 = sha256
-        self.package = package
         self.analysis = analysis
-        self.error = error
-        self.message = message
-        self.cost = 0.0
-        self.spans = None
-        self.span = None
-        self.worker = None
-        self.cached = False
-        self.cacheable = True
         self.class_digests = None
         self.new_facts = None
 
@@ -392,14 +363,6 @@ class StaticAnalysisPipeline:
         #: Optional per-outcome callable (completion order) streaming
         #: live progress, e.g. a :class:`repro.obs.ProgressReporter`.
         self.progress_hook = progress_hook
-        #: The latest run's "execute" span, kept so process-backend
-        #: worker spans replay under the right parent (see
-        #: :meth:`_replay_worker_spans`).
-        self._execute_span = None
-        #: Streaming runs replay worker spans before the deterministic
-        #: schedule exists; the replayed roots park here (by selection
-        #: position) until :meth:`_assign_workers` stamps them.
-        self._replayed_roots = {}
         if cache is None:
             cache = getattr(corpus, "analysis_cache", None)
         self.cache = cache if cache is not None else AnalysisCache()
@@ -482,34 +445,20 @@ class StaticAnalysisPipeline:
         return selected, funnel
 
     def run(self, max_apps=None, progress=None):
-        """Run the full study; returns a :class:`StudyResult`."""
-        if self.exec_config.streaming:
-            return self.run_streaming(max_apps, progress)
-        with self.obs.activate(), \
-                bind_context(stage="static",
-                             snapshot=str(self.snapshot_date)), \
-                self.obs.span("run") as run_span:
-            return self._run(max_apps, progress, run_span)
+        """Run the full study; returns a :class:`StudyResult`.
 
-    def run_streaming(self, max_apps=None, progress=None):
-        """Run the study on the streaming scheduler (same result bytes).
-
-        Aggregation, checkpointing and progress consume outcomes as
-        they land instead of waiting for the pool barrier; see
-        :mod:`repro.exec.stream` and DESIGN.md §Streaming scheduler.
+        Aggregation, checkpointing and progress consume outcomes as they
+        land (see :mod:`repro.exec.stream`); ``progress``, when given,
+        is called with ``(done, selected)`` every 200 apps.
         """
-        plan = self.stream_plan(max_apps=max_apps, progress=progress)
-        scheduler = StreamScheduler(self.exec_config, log=self.log)
-        scheduler.run([plan.stage])
-        return plan.finalize(scheduler)
+        return self.stream_plan(max_apps=max_apps, progress=progress).run()
 
     def stream_plan(self, max_apps=None, progress=None):
-        """Open a streaming run and return its :class:`PipelineStreamPlan`.
+        """Open a run and return its :class:`PipelineStreamPlan`.
 
-        The plan holds the study's ``run``/``execute`` spans open on its
-        own tracer (no ambient contextvar, so several plans can share
-        one :class:`~repro.exec.StreamScheduler`), exposes ``stage`` for
-        the scheduler, and ``finalize(scheduler)`` closes the run.
+        Selection and download happen now; the plan's ``stage`` waits
+        for a :class:`~repro.exec.StreamScheduler` (possibly shared with
+        other studies' stages) and ``finalize`` closes the run.
         """
         return PipelineStreamPlan(self, max_apps=max_apps, progress=progress)
 
@@ -526,65 +475,18 @@ class StaticAnalysisPipeline:
         result.selected = funnel["updated_after_2021"]
         return selected, result
 
-    def _run(self, max_apps, progress, run_span):
-        selected, result = self._select_for_run(max_apps)
-
-        evictions_before = (self.cache.evictions,
-                            self.cache.classes.evictions)
-        outcomes = self._execute(selected)
-        fingerprint = self.options.cache_key()
-        for position, outcome in enumerate(outcomes):
-            self._aggregate(result, outcome, fingerprint)
-            if progress is not None and (position + 1) % 200 == 0:
-                progress(position + 1, len(selected))
-        self._record_eviction_metrics(evictions_before)
-
-        run_span.set_attribute("analyzed", result.analyzed)
-        run_span.set_attribute("broken", result.broken)
-        run_span.set_attribute("workers", self.exec_config.max_workers)
-        self.log.info("run_complete", analyzed=result.analyzed,
-                      broken=result.broken, selected=len(selected),
-                      workers=self.exec_config.max_workers)
-        return result
-
     # -- sharded execution ---------------------------------------------------
-
-    def _execute(self, selected):
-        """Steps (3)-(5) for every selected app, sharded over workers.
-
-        Returns one :class:`AnalysisOutcome` per selected row, in
-        selection order; cache hits and download failures short-circuit
-        without touching the pool.
-        """
-        class_enabled = self.exec_config.class_cache
-        prior_digests = (self.cache.classes.known_digests()
-                         if class_enabled else ())
-        outcomes, tasks = self._prepare(selected)
-        executed = self._run_tasks(tasks)
-        schedule = simulate_schedule([o.cost for o in executed],
-                                     self.exec_config.max_workers,
-                                     self.exec_config.chunk_size)
-        for outcome, worker in zip(executed, schedule.assignments):
-            outcome.worker = worker
-            if outcome.span is not None:
-                outcome.span.set_attribute("worker", "w%d" % worker)
-            outcomes[outcome.position] = outcome
-        self._record_exec_metrics(outcomes, len(tasks), schedule)
-        if class_enabled:
-            self._record_class_metrics(outcomes, prior_digests)
-        return outcomes
 
     def _prepare(self, selected):
         """Cache/download short-circuits plus the worker task list.
 
-        Returns ``(outcomes, tasks)``: ``outcomes`` is the
-        selection-order result list pre-filled at every short-circuited
-        position (None where a task must run), ``tasks`` the
-        :class:`AnalysisTask` list for the pool or stream stage.
+        Returns ``(tasks, served)``: the :class:`AnalysisTask` list for
+        the stage, and the outcomes of every short-circuited position
+        (cache hits, download failures).
         """
         fingerprint = self.options.cache_key()
-        outcomes = [None] * len(selected)
         tasks = []
+        served = []
         for position, (row, listing) in enumerate(selected):
             entry = self.cache.get(row.sha256, fingerprint)
             if entry is not None:
@@ -594,7 +496,7 @@ class StaticAnalysisPipeline:
                                           entry.message)
                 outcome.cached = True
                 outcome.cacheable = False
-                outcomes[position] = outcome
+                served.append(outcome)
                 continue
             self._cache_misses.inc()
             with bind_context(package=row.package), \
@@ -602,44 +504,25 @@ class StaticAnalysisPipeline:
                 try:
                     data = self.corpus.repository.download(row.sha256)
                 except RepositoryError as exc:
-                    outcomes[position] = self._download_failure(
+                    served.append(self._download_failure(
                         position, row, listing, exc
-                    )
+                    ))
                     continue
             tasks.append(AnalysisTask(position, row.sha256, row.package,
                                       data, listing.category,
                                       listing.installs))
-        return outcomes, tasks
+        return tasks, served
 
-    def _run_tasks(self, tasks):
-        """Map the analysis over the configured pool, in task order."""
-        pool = make_pool(self.exec_config, log=self.log)
+    def _task_fn(self):
+        """The per-task callable for this config's resolved backend."""
         settings = _WorkerSettings(
             self.options,
             real_clock=not isinstance(self.obs.clock, TickClock),
             class_cache=self.exec_config.class_cache,
         )
-        with self.obs.span("execute", backend=pool.name,
-                           workers=self.exec_config.max_workers,
-                           tasks=len(tasks)) as execute_span:
-            # Remembered so process-backend worker spans replay *under*
-            # this span during aggregation (it is closed by then) — the
-            # trace tree keeps the same shape as the inline backend's.
-            self._execute_span = execute_span
-            if pool.name == BACKEND_PROCESS:
-                fn = functools.partial(_run_analysis_task, settings)
-            else:
-                fn = functools.partial(self._inline_task, settings)
-            if hasattr(self.progress_hook, "begin"):
-                self.progress_hook.begin(len(tasks))
-            on_result = chain_results(self.checkpoint, self.progress_hook)
-            executed = pool.map(tasks, fn, on_result=on_result)
-        if pool.repaired_chunks:
-            self.obs.counter(
-                EXEC_CHUNKS_REPAIRED_METRIC,
-                "Chunks re-run after losing their worker mid-flight.",
-            ).inc(pool.repaired_chunks)
-        return executed
+        if self.exec_config.resolved_backend == BACKEND_PROCESS:
+            return functools.partial(_run_analysis_task, settings)
+        return functools.partial(self._inline_task, settings)
 
     def _inline_task(self, settings, task):
         """In-process execution path: trace into the study tracer."""
@@ -668,342 +551,96 @@ class StaticAnalysisPipeline:
 
     def _aggregate(self, result, outcome, fingerprint):
         """Fold one outcome into the study result (selection order)."""
-        with bind_context(package=outcome.package):
-            if outcome.spans:
-                self._replay_worker_spans(outcome)
-            if outcome.error is not None:
-                result.broken += 1
-                self._drop(outcome.error)
-                self.log.warning("app_failed", sha256=outcome.sha256,
-                                 reason=outcome.error,
-                                 detail=outcome.message,
-                                 cached=outcome.cached)
-            else:
-                result.analyzed += 1
-                self._analyzed.inc()
-                self.log.debug("analyzed",
-                               calls=len(outcome.analysis.calls),
-                               classes=outcome.analysis.class_count,
-                               cached=outcome.cached)
-            # Content identity travels with the analysis so downstream
-            # stores (repro.results) can key outcomes by (sha256,
-            # options, corpus) — set on cached replays too, keeping
-            # cache-on/off results identical.
-            outcome.analysis.sha256 = outcome.sha256
-            result.add(outcome.analysis)
-            if outcome.cacheable and not outcome.cached:
-                self.cache.put(outcome.sha256, fingerprint,
-                               _CachedEntry(outcome.analysis, outcome.error,
-                                            outcome.message))
+        if outcome.error is not None:
+            result.broken += 1
+            self.log.warning("app_failed", sha256=outcome.sha256,
+                             reason=outcome.error, detail=outcome.message,
+                             cached=outcome.cached)
+        else:
+            result.analyzed += 1
+            self._analyzed.inc()
+            self.log.debug("analyzed", calls=len(outcome.analysis.calls),
+                           classes=outcome.analysis.class_count,
+                           cached=outcome.cached)
+        # Content identity travels with the analysis so downstream
+        # stores (repro.results) can key outcomes by (sha256, options,
+        # corpus) — set on cached replays too, keeping cache-on/off
+        # results identical.
+        outcome.analysis.sha256 = outcome.sha256
+        result.add(outcome.analysis)
+        if outcome.cacheable and not outcome.cached:
+            self.cache.put(outcome.sha256, fingerprint,
+                           _CachedEntry(outcome.analysis, outcome.error,
+                                        outcome.message))
 
-    def _replay_worker_spans(self, outcome):
-        """Attach a worker's exported span tree to the study tracer.
 
-        Replayed trees hang off the (already closed) "execute" span, the
-        same parent the inline backend records under, so the trace — and
-        every flamegraph folded from it — has one shape per run
-        regardless of backend.
-        """
-        tracer = self.obs.tracer
-        for data in outcome.spans:
-            root = Span.from_dict(data)
-            if outcome.worker is not None:
-                root.set_attribute("worker", "w%d" % outcome.worker)
-            else:
-                # Streaming runs aggregate before the deterministic
-                # schedule exists; park the root until finalize stamps
-                # worker attribution post-hoc.
-                self._replayed_roots.setdefault(outcome.position,
-                                                []).append(root)
-            parent = self._execute_span or tracer.current()
-            if parent is not None:
-                parent.children.append(root)
-            else:
-                tracer.roots.append(root)
-            if tracer.on_span_end is not None:
-                for span in root.iter_spans():
-                    tracer.on_span_end(span)
+class PipelineStreamPlan(StreamPlan):
+    """One static study's opened run (see :class:`~repro.exec.StreamPlan`).
 
-    # -- streaming execution -------------------------------------------------
+    Created by :meth:`StaticAnalysisPipeline.stream_plan`. Selection and
+    download happen when the plan opens; aggregation, checkpointing and
+    progress run as outcomes stream in, in exact selection order, with
+    cache hits and download failures merged at their positions.
+    """
 
-    def _stage_context(self):
-        """Per-event ambient context for streamed deliveries.
+    name = "static"
+    digest_metrics = (
+        (EXEC_CLASS_CACHE_HITS_METRIC,
+         "Class-facts lookups served without recomputation."),
+        (EXEC_CLASS_CACHE_MISSES_METRIC,
+         "Class-facts lookups that computed fresh facts."),
+        (EXEC_CLASS_BYTES_DEDUPED_METRIC,
+         "Canonical class bytes not re-analyzed thanks to the cache."),
+        (EXEC_CLASS_TIME_SAVED_METRIC,
+         "Estimated clock units saved by class-facts reuse."),
+    )
 
-        The streaming scheduler interleaves several studies' events, so
-        no study may hold its tracer/log context across the run; this
-        context manager is entered around every task and delivery
-        instead.
-        """
-        @contextlib.contextmanager
-        def enter():
-            with self.obs.activate(), \
-                    bind_context(stage="static",
-                                 snapshot=str(self.snapshot_date)):
-                yield
-        return enter
-
-    def _task_fn(self):
-        """The per-task callable for this config's resolved backend."""
-        settings = _WorkerSettings(
-            self.options,
-            real_clock=not isinstance(self.obs.clock, TickClock),
-            class_cache=self.exec_config.class_cache,
+    def __init__(self, pipeline, max_apps=None, progress=None):
+        self.pipeline = pipeline
+        self.max_apps = max_apps
+        self.progress = progress
+        self.fingerprint = pipeline.options.cache_key()
+        cache = pipeline.cache
+        if pipeline.exec_config.class_cache:
+            self.digest_cache = cache.classes
+        self.eviction_tiers = {"apk": cache, "class": cache.classes}
+        super().__init__(
+            pipeline,
+            sinks=chain_results(pipeline.checkpoint, pipeline.progress_hook),
+            labels={"stage": "static",
+                    "snapshot": str(pipeline.snapshot_date)},
         )
-        if self.exec_config.resolved_backend == BACKEND_PROCESS:
-            return functools.partial(_run_analysis_task, settings)
-        return functools.partial(self._inline_task, settings)
 
-    def _lost_task(self, task):
-        """Quarantine outcome for a task whose workers kept dying."""
-        message = "worker lost after %d attempts" % \
-            self.exec_config.max_attempts
+    def prepare(self):
+        self.selected, self.result = self.pipeline._select_for_run(
+            self.max_apps
+        )
+        return self.pipeline._prepare(self.selected)
+
+    def task_fn(self):
+        return self.pipeline._task_fn()
+
+    def merge(self, outcome):
+        self.pipeline._aggregate(self.result, outcome, self.fingerprint)
+        done = outcome.position + 1
+        if self.progress is not None and done % 200 == 0:
+            self.progress(done, len(self.selected))
+
+    def lost(self, task, message):
         analysis = AppAnalysis(task.package, category=task.category,
                                installs=task.installs)
         analysis.failed = True
         analysis.failure_reason = message
-        outcome = AnalysisOutcome(task.position, task.sha256, task.package,
-                                  analysis, WORKER_LOST_SLUG, message)
-        outcome.cacheable = False  # retried on the next run
-        return outcome
+        return AnalysisOutcome(task.position, task.sha256, task.package,
+                               analysis)
 
-    def _assign_workers(self, executed, workers):
-        """Stamp deterministic worker attribution onto streamed outcomes."""
-        for outcome, worker in zip(executed, workers):
-            outcome.worker = worker
-            label = "w%d" % worker
-            if outcome.span is not None:
-                outcome.span.set_attribute("worker", label)
-            for root in self._replayed_roots.pop(outcome.position, ()):
-                root.set_attribute("worker", label)
-
-    def _record_stream_metrics(self, scheduler, schedule):
-        """Scheduler health counters for the run report.
-
-        Steals come from the deterministic schedule replay; repair and
-        quarantine counts are what the live repair pass actually did
-        (nonzero only under worker faults).
-        """
-        self.obs.counter(
-            EXEC_STEALS_METRIC,
-            "Work-steal events in the simulated streamed schedule.",
-        ).inc(schedule.steals)
-        self.obs.counter(
-            EXEC_CHUNKS_REPAIRED_METRIC,
-            "Chunks re-run after losing their worker mid-flight.",
-        ).inc(scheduler.repaired_chunks)
-        self.obs.counter(
-            EXEC_TASKS_QUARANTINED_METRIC,
-            "Tasks dropped as worker_lost after the retry budget.",
-        ).inc(scheduler.quarantined_tasks)
-
-    def _record_exec_metrics(self, outcomes, task_count, schedule):
-        """Deterministic execution metrics for the run report."""
-        config = self.exec_config
-        self.obs.gauge(
-            EXEC_WORKERS_METRIC, "Configured worker count.",
-        ).set(config.max_workers)
-        self.obs.gauge(
-            EXEC_CHUNK_SIZE_METRIC, "Tasks per worker dispatch.",
-        ).set(config.chunk_size)
-        self.obs.gauge(
-            EXEC_BACKEND_METRIC, "Resolved execution backend (info).",
-            ("backend",),
-        ).labels(backend=config.resolved_backend).set(1)
-        chunks = -(-task_count // config.chunk_size) if task_count else 0
-        self.obs.gauge(
-            EXEC_QUEUE_DEPTH_METRIC,
-            "High-water mark of chunks in the bounded work queue.",
-        ).set(min(config.window, chunks))
-        tasks = self.obs.counter(
-            EXEC_TASKS_METRIC, "Per-app tasks, by outcome.", ("status",),
-        )
-        for outcome in outcomes:
-            if outcome.cached:
-                tasks.labels(status="cached").inc()
-            elif outcome.error is not None:
-                tasks.labels(status="failed").inc()
-            else:
-                tasks.labels(status="ok").inc()
-        busy = self.obs.counter(
-            EXEC_WORKER_BUSY_METRIC,
-            "Clock units each worker spent analyzing apps.",
-            ("worker",),
-        )
-        for worker, amount in enumerate(schedule.worker_busy):
-            if amount:
-                busy.labels(worker="w%d" % worker).inc(amount)
-        self.obs.gauge(
-            EXEC_CRITICAL_PATH_METRIC,
-            "Makespan of the (simulated greedy) worker schedule.",
-        ).set(schedule.critical_path)
-
-    def _record_class_metrics(self, outcomes, prior):
-        """Deterministic class-cache accounting by selection-order replay.
-
-        Worker-local hit counts depend on chunk scheduling, so they never
-        feed metrics. Instead: merge every task's shipped facts into the
-        corpus cache, then replay each outcome's ordered digest stream in
-        selection order — a digest is a hit iff it was cached before this
-        run or already seen earlier in the replay. The result is
-        byte-identical at any worker count and backend.
-        """
-        classes = self.cache.classes
-        for outcome in outcomes:
-            if outcome.new_facts:
-                classes.merge(outcome.new_facts)
-        prior = set(prior)
-        seen = set()
-        hits = misses = 0
-        deduped = 0
-        saved = 0.0
-        for outcome in outcomes:
-            if not outcome.class_digests:
-                continue
-            for digest in outcome.class_digests:
-                if digest in prior or digest in seen:
-                    hits += 1
-                    facts = classes.peek(digest)
-                    if facts is not None:
-                        deduped += facts.canonical_size
-                        saved += facts.cost
-                else:
-                    misses += 1
-                    seen.add(digest)
-        self.obs.counter(
-            EXEC_CLASS_CACHE_HITS_METRIC,
-            "Class-facts lookups served without recomputation.",
-        ).inc(hits)
-        self.obs.counter(
-            EXEC_CLASS_CACHE_MISSES_METRIC,
-            "Class-facts lookups that computed fresh facts.",
-        ).inc(misses)
-        self.obs.counter(
-            EXEC_CLASS_BYTES_DEDUPED_METRIC,
-            "Canonical class bytes not re-analyzed thanks to the cache.",
-        ).inc(deduped)
-        self.obs.counter(
-            EXEC_CLASS_TIME_SAVED_METRIC,
-            "Estimated clock units saved by class-facts reuse.",
-        ).inc(saved)
-
-    def _record_eviction_metrics(self, before):
-        """Per-tier LRU eviction deltas for this run (nonzero only)."""
-        apk_before, class_before = before
-        counter = self.obs.counter(
-            EXEC_CACHE_EVICTIONS_METRIC,
-            "LRU evictions from the two-tier analysis cache, by tier.",
-            ("tier",),
-        )
-        apk_delta = self.cache.evictions - apk_before
-        class_delta = self.cache.classes.evictions - class_before
-        if apk_delta:
-            counter.labels(tier="apk").inc(apk_delta)
-        if class_delta:
-            counter.labels(tier="class").inc(class_delta)
-
-
-class PipelineStreamPlan:
-    """One static study's opened streaming run.
-
-    Created by :meth:`StaticAnalysisPipeline.stream_plan`. Selection and
-    download happen eagerly; the per-app analysis waits in ``stage`` for
-    a :class:`~repro.exec.StreamScheduler` (shared with other studies'
-    stages when interleaving). Aggregation, checkpointing and progress
-    run incrementally as outcomes stream in — in exact selection order
-    via the prefix-flush buffer, so the result is byte-identical to the
-    barrier path. The ``run``/``execute`` spans are held open on the
-    study's own tracer (never via an ambient contextvar) and closed by
-    :meth:`finalize`.
-    """
-
-    def __init__(self, pipeline, max_apps=None, progress=None):
-        self.pipeline = pipeline
-        self.progress = progress
-        #: Executed outcomes in task order (quarantined ones included).
-        self.executed = []
-        self._ctx = pipeline._stage_context()
-        pipeline._replayed_roots.clear()
-        with self._ctx():
-            self._run_cm = pipeline.obs.span("run")
-            self.run_span = self._run_cm.__enter__()
-            self.selected, self.result = pipeline._select_for_run(max_apps)
-            self.fingerprint = pipeline.options.cache_key()
-            self.class_enabled = pipeline.exec_config.class_cache
-            self.prior_digests = (pipeline.cache.classes.known_digests()
-                                  if self.class_enabled else ())
-            self.evictions_before = (pipeline.cache.evictions,
-                                     pipeline.cache.classes.evictions)
-            self.outcomes, tasks = pipeline._prepare(self.selected)
-            self._flush = OrderedFlush(self._consume)
-            self.stage = StreamStage(
-                "static", tasks, pipeline._task_fn(),
-                on_lost=pipeline._lost_task,
-                chunk_size=pipeline.exec_config.chunk_size,
-                context=self._ctx,
-            )
-            self.stage.consume_ordered(self._on_ordered)
-            self.stage.consume(chain_results(pipeline.checkpoint,
-                                             pipeline.progress_hook))
-            self._execute_cm = pipeline.obs.span(
-                "execute", backend=pipeline.exec_config.resolved_backend,
-                workers=pipeline.exec_config.max_workers, tasks=len(tasks),
-            )
-            self.execute_span = self._execute_cm.__enter__()
-            pipeline._execute_span = self.execute_span
-            if hasattr(pipeline.progress_hook, "begin"):
-                pipeline.progress_hook.begin(len(tasks))
-            # Short-circuited positions (cache hits, download failures)
-            # flow through the same ordered flush so aggregation sees
-            # one selection-order stream.
-            for outcome in self.outcomes:
-                if outcome is not None:
-                    self._flush.push(outcome.position, outcome)
-
-    def _on_ordered(self, index, outcome):
-        self.executed.append(outcome)
-        self._flush.push(outcome.position, outcome)
-
-    def _consume(self, position, outcome):
-        self.pipeline._aggregate(self.result, outcome, self.fingerprint)
-        if self.progress is not None and (position + 1) % 200 == 0:
-            self.progress(position + 1, len(self.selected))
-
-    def costs(self):
-        """Measured per-task costs, in task order (the simulate input)."""
-        return [outcome.cost for outcome in self.executed]
-
-    def finalize(self, scheduler, schedule=None, assignments=None):
-        """Close the run: schedule replay, metrics, spans. Returns result.
-
-        ``schedule``/``assignments`` come from the caller for
-        interleaved runs (one shared simulation across stages); left at
-        None, the plan simulates its own single-stage schedule.
-        """
-        pipeline = self.pipeline
-        with self._ctx():
-            self._execute_cm.__exit__(None, None, None)
-            for outcome in self.executed:
-                self.outcomes[outcome.position] = outcome
-            if schedule is None:
-                schedule, per_stage = scheduler.simulate([self.costs()])
-                assignments = per_stage[0]
-            pipeline._assign_workers(self.executed, assignments)
-            view = stage_schedule_view(pipeline.exec_config, assignments,
-                                       self.costs(), schedule)
-            pipeline._record_exec_metrics(self.outcomes,
-                                          len(self.stage.tasks), view)
-            pipeline._record_stream_metrics(scheduler, schedule)
-            if self.class_enabled:
-                pipeline._record_class_metrics(self.outcomes,
-                                               self.prior_digests)
-            pipeline._record_eviction_metrics(self.evictions_before)
-            self.run_span.set_attribute("analyzed", self.result.analyzed)
-            self.run_span.set_attribute("broken", self.result.broken)
-            self.run_span.set_attribute("workers",
-                                        pipeline.exec_config.max_workers)
-            pipeline.log.info("run_complete", analyzed=self.result.analyzed,
-                              broken=self.result.broken,
-                              selected=len(self.selected),
-                              workers=pipeline.exec_config.max_workers)
-            self._run_cm.__exit__(None, None, None)
-        return self.result
+    def build_result(self):
+        result = self.result
+        workers = self.config.max_workers
+        self.root_span.set_attribute("analyzed", result.analyzed)
+        self.root_span.set_attribute("broken", result.broken)
+        self.root_span.set_attribute("workers", workers)
+        self.log.info("run_complete", analyzed=result.analyzed,
+                      broken=result.broken, selected=len(self.selected),
+                      workers=workers)
+        return result

@@ -299,8 +299,8 @@ class TestCensusDeterminism:
         for kwargs in (
             dict(max_workers=4, backend="process"),
             dict(max_workers=4, backend="inline"),
-            dict(max_workers=1, streaming=True),
-            dict(max_workers=4, backend="process", streaming=True),
+            dict(max_workers=1, chunk_size=3),
+            dict(max_workers=4, backend="process", window=1),
             dict(max_workers=1, endpoint_cache=False),
             dict(max_workers=4, backend="process", endpoint_cache=False),
         ):
@@ -332,7 +332,7 @@ class TestCensusDeterminism:
         assert summary_counters(max_workers=4, backend="process",
                                 endpoint_cache=True) == reference
         assert summary_counters(max_workers=4, backend="process",
-                                streaming=True,
+                                window=1,
                                 endpoint_cache=True) == reference
         assert reference[0] > 0  # shared SDK classes actually dedupe
 
@@ -344,7 +344,7 @@ class TestCensusDeterminism:
         census = EndpointCensus(
             corpus, obs=Obs(),
             exec_config=ExecConfig(max_workers=2, backend="process",
-                                   streaming=True, window=2),
+                                   window=2),
         )
         result = census.run()
         assert result.apps

@@ -14,16 +14,19 @@ from repro.exec import (
     CHUNK_SIZE_ENV_VAR,
     ExecConfig,
     ExecConfigError,
-    InlinePool,
     MAX_WORKERS_ENV_VAR,
-    ProcessPool,
     RETRIES_ENV_VAR,
-    STREAMING_ENV_VAR,
+    StreamScheduler,
+    StreamStage,
     WINDOW_ENV_VAR,
     chain_results,
-    make_pool,
     process_backend_available,
-    simulate_schedule,
+    simulate_stream,
+)
+
+needs_processes = pytest.mark.skipif(
+    not process_backend_available(),
+    reason="process pools unavailable on this platform",
 )
 
 
@@ -87,15 +90,6 @@ class TestExecConfig:
         with pytest.raises(ExecConfigError):
             ExecConfig()
 
-    def test_streaming_env_flag(self, monkeypatch):
-        monkeypatch.setenv(STREAMING_ENV_VAR, "1")
-        assert ExecConfig().streaming is True
-        monkeypatch.setenv(STREAMING_ENV_VAR, "off")
-        assert ExecConfig().streaming is False
-        monkeypatch.setenv(STREAMING_ENV_VAR, "sometimes")
-        with pytest.raises(ExecConfigError):
-            ExecConfig()
-
     def test_retries_env_and_validation(self, monkeypatch):
         monkeypatch.setenv(RETRIES_ENV_VAR, "5")
         assert ExecConfig().max_attempts == 5
@@ -130,38 +124,43 @@ class TestAnalysisCache:
         assert cache.get("a" * 64, ()) is None
 
 
+def fifo_schedule(costs, max_workers, chunk_size):
+    """The back-to-back FIFO schedule: the stream replay without steals."""
+    return simulate_stream(costs, max_workers, chunk_size, steal=False)
+
+
 class TestSimulateSchedule:
     def test_empty(self):
-        schedule = simulate_schedule([], 4, 2)
+        schedule = fifo_schedule([], 4, 2)
         assert schedule.critical_path == 0.0
         assert schedule.speedup == 1.0
         assert schedule.assignments == []
 
     def test_uniform_costs_balance_perfectly(self):
-        schedule = simulate_schedule([1.0] * 8, 4, 1)
+        schedule = fifo_schedule([1.0] * 8, 4, 1)
         assert schedule.worker_busy == [2.0, 2.0, 2.0, 2.0]
         assert schedule.critical_path == 2.0
         assert schedule.speedup == 4.0
 
     def test_greedy_earliest_free_worker(self):
         # w0 takes the 5; the three 1s drain through w1.
-        schedule = simulate_schedule([5.0, 1.0, 1.0, 1.0], 2, 1)
+        schedule = fifo_schedule([5.0, 1.0, 1.0, 1.0], 2, 1)
         assert schedule.assignments == [0, 1, 1, 1]
         assert schedule.worker_busy == [5.0, 3.0]
         assert schedule.critical_path == 5.0
 
     def test_chunks_stay_together(self):
-        schedule = simulate_schedule([1.0, 1.0, 1.0, 1.0], 2, 2)
+        schedule = fifo_schedule([1.0, 1.0, 1.0, 1.0], 2, 2)
         assert schedule.assignments == [0, 0, 1, 1]
 
     def test_rejects_invalid_worker_and_chunk_counts(self):
         with pytest.raises(ExecConfigError):
-            simulate_schedule([1.0], 0, 1)
+            fifo_schedule([1.0], 0, 1)
         with pytest.raises(ExecConfigError):
-            simulate_schedule([1.0], 2, 0)
+            fifo_schedule([1.0], 2, 0)
 
     def test_serial_schedule_has_no_speedup(self):
-        schedule = simulate_schedule([1.0, 2.0, 3.0], 1, 2)
+        schedule = fifo_schedule([1.0, 2.0, 3.0], 1, 2)
         assert schedule.speedup == 1.0
         assert schedule.critical_path == 6.0
 
@@ -174,39 +173,54 @@ def _explode(value):
     raise RuntimeError("task %d blew up" % value)
 
 
+def _pid(value):
+    return os.getpid()
+
+
+def _run(config, tasks, fn, sink=None):
+    """Drain one stage; returns (its outcomes, the scheduler)."""
+    stage = StreamStage("s", tasks, fn).consume(sink)
+    scheduler = StreamScheduler(config)
+    return scheduler.run([stage])[0], scheduler
+
+
 class TestWorkerPools:
     def test_inline_pool_ordered(self):
-        pool = InlinePool(ExecConfig(max_workers=1))
-        assert pool.map([1, 2, 3], _square) == [1, 4, 9]
+        results, _ = _run(ExecConfig(max_workers=1), [1, 2, 3], _square)
+        assert results == [1, 4, 9]
 
+    @needs_processes
     def test_process_pool_matches_inline(self):
         config = ExecConfig(max_workers=2, chunk_size=2,
                             backend=BACKEND_PROCESS)
         values = list(range(11))
-        assert ProcessPool(config).map(values, _square) == [
-            v * v for v in values
-        ]
+        results, _ = _run(config, values, _square)
+        assert results == [v * v for v in values]
 
+    @needs_processes
     def test_process_pool_empty_input(self):
         config = ExecConfig(max_workers=2, backend=BACKEND_PROCESS)
-        assert ProcessPool(config).map([], _square) == []
+        assert _run(config, [], _square)[0] == []
 
+    @needs_processes
     def test_process_pool_propagates_worker_bugs(self):
         config = ExecConfig(max_workers=2, chunk_size=1,
                             backend=BACKEND_PROCESS)
         with pytest.raises(RuntimeError):
-            ProcessPool(config).map([1], _explode)
+            _run(config, [1], _explode)
 
-    def test_make_pool_resolves_backend(self):
-        assert make_pool(ExecConfig(max_workers=1)).name == BACKEND_INLINE
-        assert make_pool(ExecConfig(max_workers=2)).name == BACKEND_PROCESS
+    @needs_processes
+    def test_backend_resolution_decides_where_tasks_run(self):
+        parent = os.getpid()
+        inline, _ = _run(ExecConfig(max_workers=1), [1, 2], _pid)
+        assert inline == [parent, parent]
+        pooled, _ = _run(ExecConfig(max_workers=2), [1, 2], _pid)
+        assert parent not in pooled
 
-    def test_make_pool_falls_back_when_processes_unavailable(
-        self, monkeypatch
-    ):
-        import repro.exec.pool as pool_module
+    def test_falls_back_inline_when_processes_unavailable(self, monkeypatch):
+        import repro.exec.stream as stream_module
 
-        monkeypatch.setattr(pool_module, "process_backend_available",
+        monkeypatch.setattr(stream_module, "process_backend_available",
                             lambda: False)
         events = []
 
@@ -214,43 +228,57 @@ class TestWorkerPools:
             def warning(self, event, **kv):
                 events.append(event)
 
-        pool = pool_module.make_pool(
+        stage = StreamStage("s", [1, 2], _pid)
+        scheduler = StreamScheduler(
             ExecConfig(max_workers=4, backend=BACKEND_PROCESS), log=Log()
         )
-        assert pool.name == BACKEND_INLINE
+        assert scheduler.run([stage]) == [[os.getpid(), os.getpid()]]
         assert events == ["process_backend_unavailable"]
 
 
-def _die_in_worker(value):
+_FLAG_DIR = {"path": None}
+
+
+def _die_once_in_worker(value):
     # Simulated worker death: os._exit skips all exception machinery, so
-    # the executor sees only a vanished process (BrokenProcessPool). The
-    # parent-process guard makes the same task succeed when the repair
-    # pass re-runs it inline.
-    if value == 13 and multiprocessing.parent_process() is not None:
+    # the executor sees only a vanished process (a broken pool). The
+    # flag file makes the death transient, so the repair pass's re-run
+    # succeeds; the parent-process guard keeps it harmless inline.
+    flag = os.path.join(_FLAG_DIR["path"], "died-%d" % value)
+    if (value == 13 and multiprocessing.parent_process() is not None
+            and not os.path.exists(flag)):
+        open(flag, "w").close()
         os._exit(1)
     return value * value
 
 
-@pytest.mark.skipif(not process_backend_available(),
-                    reason="process pools unavailable on this platform")
 class TestProcessPoolRepair:
-    def test_worker_death_repaired_without_aborting(self):
+    @needs_processes
+    def test_worker_death_repaired_without_aborting(self, tmp_path):
+        _FLAG_DIR["path"] = str(tmp_path)
         config = ExecConfig(max_workers=2, chunk_size=2,
                             backend=BACKEND_PROCESS)
-        pool = ProcessPool(config)
         seen = []
         values = list(range(20))
-        results = pool.map(values, _die_in_worker, on_result=seen.append)
+        results, scheduler = _run(config, values, _die_once_in_worker,
+                                  sink=seen.append)
         assert results == [v * v for v in values]
-        assert pool.repaired_chunks >= 1
-        # Every result was also delivered through the on_result hook,
+        assert scheduler.repaired_chunks >= 1
+        # Every result was also delivered to the completion-order sink,
         # including the ones from repaired chunks.
         assert sorted(seen) == sorted(results)
 
     def test_inline_pool_never_repairs(self):
-        pool = InlinePool(ExecConfig(max_workers=1))
-        assert pool.map([1, 2], _square) == [1, 4]
-        assert pool.repaired_chunks == 0
+        results, scheduler = _run(ExecConfig(max_workers=1), [1, 2], _square)
+        assert results == [1, 4]
+        assert scheduler.repaired_chunks == 0
+
+    @needs_processes
+    def test_workers_joined_when_run_returns(self):
+        config = ExecConfig(max_workers=2, chunk_size=1,
+                            backend=BACKEND_PROCESS)
+        _run(config, list(range(6)), _square)
+        assert multiprocessing.active_children() == []
 
 
 class _RecordingHook:
@@ -302,26 +330,22 @@ class TestChainResults:
         assert not hasattr(chained, "begin")
 
     def test_chained_hooks_on_inline_pool(self):
-        pool = InlinePool(ExecConfig(max_workers=1))
         values = []
         hook = _RecordingHook()
-        results = pool.map([1, 2, 3], _square,
-                           on_result=chain_results(values.append, hook))
+        results, _ = _run(ExecConfig(max_workers=1), [1, 2, 3], _square,
+                          sink=chain_results(values.append, hook))
         assert results == [1, 4, 9]
         assert values == [1, 4, 9]
         assert hook.values == [1, 4, 9]
 
-    @pytest.mark.skipif(not process_backend_available(),
-                        reason="process pools unavailable on this platform")
+    @needs_processes
     def test_chained_hooks_on_process_pool(self):
         config = ExecConfig(max_workers=2, chunk_size=2,
                             backend=BACKEND_PROCESS)
         values = []
         hook = _RecordingHook()
-        results = ProcessPool(config).map(
-            list(range(9)), _square,
-            on_result=chain_results(values.append, hook),
-        )
+        results, _ = _run(config, list(range(9)), _square,
+                          sink=chain_results(values.append, hook))
         assert results == [v * v for v in range(9)]
         # Completion order may differ from input order, but every result
         # reaches both hooks exactly once, in the same interleaving.

@@ -267,9 +267,10 @@ class TestCensus:
         ]
 
     def _run(self, **config):
+        config.setdefault("chunk_size", 1)
         census = ImpactCensus(
             apps=real_app_profiles(), seed=0, obs=Obs(),
-            exec_config=ExecConfig(chunk_size=1, **config),
+            exec_config=ExecConfig(**config),
         )
         return census, census.run()
 
@@ -282,8 +283,10 @@ class TestCensus:
         assert self._snapshot(processed) == self._snapshot(result)
 
     def test_identical_with_streaming(self, result):
-        _, streamed = self._run(max_workers=4, backend="inline",
-                                streaming=True)
+        # Out-of-order completions, merged through the prefix flush:
+        # two process workers, three-app chunks that steals can split.
+        _, streamed = self._run(max_workers=2, backend="process",
+                                chunk_size=3)
         assert self._snapshot(streamed) == self._snapshot(result)
 
     def test_severity_counts_fixed_order(self, result):

@@ -2,33 +2,44 @@
 
 Covers the scheduler machinery itself (ordered delivery, interleaving,
 steal/repair/quarantine under injected worker death) and the study-level
-contract: streaming runs — including a mixed static+dynamic run through
-one shared scheduler — are byte-identical to the barrier pools.
+contract on the one executor: one inline worker and N process workers —
+including a mixed static+dynamic run through one shared scheduler —
+give byte-identical results, a raising run closes its spans, worker
+death is quarantined in every sharded workload, and a finished run is
+freed by reference counting alone.
 """
 
+import gc
 import multiprocessing
 import os
 
 import pytest
 
+import repro.dynamic.crawler as crawler_module
+import repro.endpoints.census as endpoints_module
+import repro.impact.census as impact_module
 import repro.static_analysis.pipeline as pipeline_module
 from repro.corpus import CorpusConfig, generate_corpus
 from repro.dynamic.apps import real_app_profiles
 from repro.dynamic.crawler import AdbCrawler
+from repro.dynamic.manual_study import ManualStudy
+from repro.endpoints import EndpointCensus
 from repro.errors import WorkerLostError
 from repro.exec import (
+    AnalysisCache,
     BACKEND_PROCESS,
     ExecConfig,
     ExecConfigError,
     OrderedFlush,
     StreamScheduler,
     StreamStage,
+    TaskOutcome,
     WORKER_LOST_SLUG,
     process_backend_available,
-    simulate_schedule,
     simulate_stream,
 )
-from repro.obs import DROPS_METRIC, EXEC_TASKS_QUARANTINED_METRIC, Obs
+from repro.impact import ImpactCensus
+from repro.obs import DROPS_METRIC, EXEC_TASKS_QUARANTINED_METRIC, Obs, Span
 from repro.static_analysis import StaticAnalysisPipeline
 from repro.web.sites import top_sites
 
@@ -66,10 +77,10 @@ class TestSimulateStream:
         assert schedule.steals == 0
 
     def test_stealing_hides_the_straggler_tail(self):
-        # One giant chunk plus uniform filler: the greedy barrier
-        # simulation serializes behind the straggler, stealing does not.
+        # One giant chunk plus uniform filler: the greedy FIFO replay
+        # serializes behind the straggler, stealing does not.
         costs = [100.0] + [1.0] * 28
-        greedy = simulate_schedule(costs, 4, 4)
+        greedy = simulate_stream(costs, 4, 4, steal=False)
         streamed = simulate_stream(costs, 4, 4)
         assert streamed.steals > 0
         assert streamed.critical_path < greedy.critical_path
@@ -160,7 +171,7 @@ class TestStreamSchedulerInline:
 # -- fault injection ----------------------------------------------------------
 #
 # os._exit skips all exception machinery, so the executor only sees a
-# vanished worker (BrokenProcessPool). The parent-process guard keeps the
+# vanished worker (a broken pool). The parent-process guard keeps the
 # same call harmless if it ever runs inline.
 
 _FLAG_DIR = {"path": None}
@@ -234,42 +245,45 @@ def _crawl_digest(crawl):
     )
 
 
-def _make_pipeline(streaming, workers, backend="inline"):
+def _make_pipeline(workers, backend="inline", **config):
     corpus = generate_corpus(CorpusConfig(universe_size=2_500, seed=4242))
     config = ExecConfig(max_workers=workers, chunk_size=4, backend=backend,
-                        streaming=streaming)
+                        **config)
     return StaticAnalysisPipeline(corpus, obs=Obs(), exec_config=config)
 
 
-def _make_crawler(streaming, workers, backend="inline"):
+def _make_crawler(workers, backend="inline"):
     profiles = {p.name: p for p in real_app_profiles()}
-    config = ExecConfig(max_workers=workers, chunk_size=1, backend=backend,
-                        streaming=streaming)
+    config = ExecConfig(max_workers=workers, chunk_size=1, backend=backend)
     return AdbCrawler([profiles["LinkedIn"], profiles["Kik"]],
                       sites=top_sites(4), seed=11, obs=Obs(),
                       exec_config=config)
 
 
 class TestStreamingByteIdentity:
-    def test_static_pipeline_matches_barrier(self):
-        barrier = _make_pipeline(False, 1).run(max_apps=30)
-        streamed = _make_pipeline(True, 3).run(max_apps=30)
-        assert _study_digest(streamed) == _study_digest(barrier)
-        assert streamed.funnel_dict() == barrier.funnel_dict()
+    @needs_processes
+    def test_static_pipeline_inline_matches_process(self):
+        inline = _make_pipeline(1).run(max_apps=30)
+        pooled = _make_pipeline(3, BACKEND_PROCESS).run(max_apps=30)
+        assert _study_digest(pooled) == _study_digest(inline)
+        assert pooled.funnel_dict() == inline.funnel_dict()
 
     @needs_processes
     def test_static_pipeline_matches_on_process_backend(self):
-        barrier = _make_pipeline(False, 1).run(max_apps=20)
-        streamed = _make_pipeline(True, 2, BACKEND_PROCESS).run(max_apps=20)
-        assert _study_digest(streamed) == _study_digest(barrier)
+        # One chunk in flight: completions arrive strictly in order.
+        inline = _make_pipeline(1).run(max_apps=20)
+        pooled = _make_pipeline(2, BACKEND_PROCESS, window=1).run(
+            max_apps=20)
+        assert _study_digest(pooled) == _study_digest(inline)
 
-    def test_crawler_matches_barrier(self):
-        barrier = _make_crawler(False, 1).crawl()
-        streamed = _make_crawler(True, 3).crawl()
-        assert _crawl_digest(streamed) == _crawl_digest(barrier)
+    @needs_processes
+    def test_crawler_inline_matches_process(self):
+        inline = _make_crawler(1).crawl()
+        pooled = _make_crawler(3, BACKEND_PROCESS).crawl()
+        assert _crawl_digest(pooled) == _crawl_digest(inline)
 
     def test_streaming_run_report_shows_scheduler_rows(self):
-        pipeline = _make_pipeline(True, 3)
+        pipeline = _make_pipeline(3)
         pipeline.run(max_apps=20)
         report = pipeline.obs.run_report("t")
         assert "work steals" in report
@@ -279,27 +293,29 @@ class TestStreamingByteIdentity:
 
 class TestInterleavedStudies:
     def test_matches_separate_barrier_runs(self):
+        # The baseline runs the studies one after the other, a barrier
+        # between them; interleaving must not change a byte.
         from repro.core import InterleavedStudies
         from repro.core.study import DynamicStudy, StaticStudy
 
-        def make(streaming, workers):
+        def make(workers):
             static = StaticStudy(universe_size=2_500, seed=77, obs=Obs(),
                                  max_workers=workers, chunk_size=4,
-                                 exec_backend="inline", streaming=streaming,
-                                 telemetry=None, results_store=None)
+                                 exec_backend="inline", telemetry=None,
+                                 results_store=None)
             static.telemetry = static.results_store = None
             dynamic = DynamicStudy(seed=9, site_count=4, obs=Obs(),
                                    max_workers=workers, chunk_size=1,
-                                   exec_backend="inline", streaming=streaming,
-                                   telemetry=None, results_store=None)
+                                   exec_backend="inline", telemetry=None,
+                                   results_store=None)
             dynamic.telemetry = dynamic.results_store = None
             return static, dynamic
 
-        static0, dynamic0 = make(False, 1)
+        static0, dynamic0 = make(1)
         base_result = static0.run(max_apps=25)
         base_crawl = dynamic0.crawl_top_sites()
 
-        static1, dynamic1 = make(True, 3)
+        static1, dynamic1 = make(3)
         result, crawl = InterleavedStudies(static1, dynamic1).run(max_apps=25)
         assert _study_digest(result) == _study_digest(base_result)
         assert _crawl_digest(crawl) == _crawl_digest(base_crawl)
@@ -312,16 +328,9 @@ class TestInterleavedStudies:
 
         from repro.core.study import StaticStudy
         from repro.results.store import ResultsStore
+        from repro.util import fingerprint_token
 
-        def rows(streaming, name):
-            path = str(tmp_path / name)
-            study = StaticStudy(universe_size=2_500, seed=77, obs=Obs(),
-                                max_workers=2, chunk_size=4,
-                                exec_backend="inline", streaming=streaming,
-                                telemetry=None,
-                                results_store=ResultsStore(path))
-            study.telemetry = None
-            study.run(max_apps=20)
+        def rows(path):
             conn = sqlite3.connect(path)
             try:
                 return {
@@ -332,35 +341,215 @@ class TestInterleavedStudies:
             finally:
                 conn.close()
 
-        assert rows(False, "barrier.db") == rows(True, "stream.db")
+        # Rows labeled en route as outcomes land...
+        prepared = str(tmp_path / "prepared.db")
+        study = StaticStudy(universe_size=2_500, seed=77, obs=Obs(),
+                            max_workers=2, chunk_size=4,
+                            exec_backend="inline", telemetry=None,
+                            results_store=ResultsStore(prepared))
+        study.telemetry = None
+        result = study.run(max_apps=20)
+        # ...match the rows an ingest after the run labels itself.
+        unprepared = str(tmp_path / "unprepared.db")
+        ResultsStore(unprepared).ingest(
+            result, corpus=study.corpus.fingerprint(),
+            options=fingerprint_token(study.options.cache_key()),
+            snapshot=str(study.corpus.config.snapshot_date),
+        )
+        assert rows(prepared) == rows(unprepared)
+
+
+# -- failure paths ---------------------------------------------------------------
+
+
+class _Killed(Exception):
+    """A non-library exception raised from a completion-order consumer."""
+
+
+def _raising_checkpoint(after):
+    seen = []
+
+    def checkpoint(outcome):
+        seen.append(outcome)
+        if len(seen) == after:
+            raise _Killed("killed after %d apps" % after)
+
+    return checkpoint
+
+
+class TestRunFailureClosesSpans:
+    @pytest.mark.parametrize("backend", [
+        "inline", pytest.param(BACKEND_PROCESS, marks=needs_processes),
+    ])
+    def test_raising_checkpoint_closes_spans(self, backend):
+        workers = 2 if backend == BACKEND_PROCESS else 1
+        pipeline = _make_pipeline(workers, backend)
+        pipeline.checkpoint = _raising_checkpoint(5)
+        with pytest.raises(_Killed):
+            pipeline.run(max_apps=20)
+        tracer = pipeline.obs.tracer
+        assert tracer.current() is None
+        run = tracer.find("run")
+        assert run.status == Span.ERROR and run.end is not None
+        execute = run.find("execute")
+        assert execute.status == Span.ERROR and execute.end is not None
+
+
+_POISON = {"entry": None}
+
+#: Selection position of the task whose worker always dies.
+POISONED = 1
+
+
+def _poisoned_entry(settings, task):
+    if (task.position == POISONED
+            and multiprocessing.parent_process() is not None):
+        os._exit(1)
+    return _POISON["entry"](settings, task)
+
+
+class _StaticWorkload:
+    module, entry, cached = pipeline_module, "_run_analysis_task", True
+
+    def __init__(self):
+        self.corpus = generate_corpus(CorpusConfig(universe_size=2_500,
+                                                   seed=4242))
+
+    def run(self, config, cache=None):
+        pipeline = StaticAnalysisPipeline(self.corpus, obs=Obs(),
+                                          exec_config=config, cache=cache)
+        result = pipeline.run(max_apps=12)
+        delivered = {a.package: (a.failed, a.uses_webview,
+                                 a.uses_customtabs, len(a.calls))
+                     for a in result.analyses
+                     if a.failure_reason != "worker lost after 2 attempts"}
+        packages = [a.package for a in result.analyses]
+        return pipeline, delivered, packages
+
+
+class _CrawlWorkload:
+    module, entry, cached = crawler_module, "_run_crawl_shard", False
+
+    def run(self, config, cache=None):
+        profiles = {p.name: p for p in real_app_profiles()}
+        apps = [profiles[name] for name in ("LinkedIn", "Kik", "Instagram")]
+        crawler = AdbCrawler(apps, sites=top_sites(2), seed=11, obs=Obs(),
+                             exec_config=config)
+        crawl = crawler.crawl()
+        delivered = {}
+        for visit in crawl.visits:
+            delivered.setdefault(visit.app.package, []).append(
+                (visit.site.host, tuple(visit.endpoints)))
+        return crawler, delivered, [app.package for app in apps]
+
+
+class _ImpactWorkload:
+    module, entry, cached = impact_module, "_run_impact_shard", False
+
+    def run(self, config, cache=None):
+        census = ImpactCensus(apps=ManualStudy(seed=0).apps()[:6], seed=0,
+                              obs=Obs(), exec_config=config)
+        result = census.run()
+        delivered = {r.package: [(f.bridge, f.attacker, f.severity)
+                                 for f in r.findings]
+                     for r in result.records}
+        return census, delivered, [app.package for app in census.apps]
+
+
+class _EndpointsWorkload:
+    module, entry, cached = endpoints_module, "_run_endpoint_shard", True
+
+    def __init__(self):
+        self.corpus = generate_corpus(CorpusConfig(universe_size=120))
+
+    def run(self, config, cache=None):
+        census = EndpointCensus(self.corpus,
+                                apps=self.corpus.selected_specs()[:8],
+                                obs=Obs(), exec_config=config, cache=cache)
+        result = census.run()
+        delivered = {a.package: [r.url for r in a.records]
+                     for a in result.apps}
+        return census, delivered, [spec.package for spec in census.apps]
+
+
+WORKLOADS = {
+    "static": _StaticWorkload,
+    "crawl": _CrawlWorkload,
+    "impact": _ImpactWorkload,
+    "endpoints": _EndpointsWorkload,
+}
+
+
+def _without(delivered, package):
+    return {key: value for key, value in delivered.items() if key != package}
 
 
 @needs_processes
 class TestPipelineFaultInjection:
     def test_poisoned_app_becomes_worker_lost_drop(self, monkeypatch):
-        original = pipeline_module._run_analysis_task
-        monkeypatch.setattr(pipeline_module, "_run_analysis_task",
-                            _poisoned_analysis_task)
-        _POISON["original"] = original
-        pipeline = _make_pipeline(True, 2, BACKEND_PROCESS)
-        pipeline.exec_config.max_attempts = 2
-        result = pipeline.run(max_apps=12)
-        # The run completed: every selected app is analyzed or accounted
-        # for as a drop — the poisoned one under worker_lost.
-        assert result.analyzed + result.broken == 12
-        drops = pipeline.obs.registry.label_values(DROPS_METRIC)
-        assert drops.get((WORKER_LOST_SLUG,), 0) >= 1
-        quarantined = pipeline.obs.registry.value(
-            EXEC_TASKS_QUARANTINED_METRIC
-        )
-        assert quarantined >= 1
-        assert "tasks quarantined" in pipeline.obs.run_report("t")
+        self.check_quarantine("static", monkeypatch)
+
+    @pytest.mark.parametrize("name", ["crawl", "impact", "endpoints"])
+    def test_poisoned_shard_becomes_worker_lost_drop(self, name,
+                                                     monkeypatch):
+        self.check_quarantine(name, monkeypatch)
+
+    def check_quarantine(self, name, monkeypatch):
+        workload = WORKLOADS[name]()
+        _, clean, packages = workload.run(ExecConfig(max_workers=1),
+                                          cache=AnalysisCache())
+        lost = packages[POISONED]
+        _POISON["entry"] = getattr(workload.module, workload.entry)
+        monkeypatch.setattr(workload.module, workload.entry, _poisoned_entry)
+        config = ExecConfig(max_workers=2, chunk_size=2,
+                            backend=BACKEND_PROCESS, max_attempts=2)
+        study, delivered, _ = workload.run(config)
+
+        # The run completed; the poisoned app is one worker_lost drop,
+        # quarantined once, and every innocent app delivered.
+        registry = study.obs.registry
+        assert registry.label_values(DROPS_METRIC).get(
+            (WORKER_LOST_SLUG,)) == 1
+        assert registry.value(EXEC_TASKS_QUARANTINED_METRIC) == 1
+        assert lost not in delivered
+        assert delivered == _without(clean, lost)
+        assert "tasks quarantined" in study.obs.run_report("t")
+        if workload.cached:
+            # The lost outcome was never cached: a warm rerun retries
+            # exactly that app and now delivers it.
+            warm, delivered, _ = workload.run(ExecConfig(max_workers=1))
+            assert warm._cache_misses.value == 1
+            assert delivered == clean
 
 
-_POISON = {"original": None}
+# -- memory ----------------------------------------------------------------------
 
 
-def _poisoned_analysis_task(settings, task):
-    if task.position == 1 and multiprocessing.parent_process() is not None:
-        os._exit(1)
-    return _POISON["original"](settings, task)
+_RUN_TYPES = (
+    TaskOutcome, StreamStage, pipeline_module.AnalysisTask,
+    crawler_module.CrawlShard, impact_module.ImpactShard,
+    endpoints_module.EndpointShard,
+)
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("name", list(WORKLOADS))
+    @pytest.mark.parametrize("backend", [
+        "inline", pytest.param(BACKEND_PROCESS, marks=needs_processes),
+    ])
+    def test_finished_run_freed_by_reference_counting(self, name, backend):
+        workload = WORKLOADS[name]()
+        workers = 2 if backend == BACKEND_PROCESS else 1
+        config = ExecConfig(max_workers=workers, chunk_size=2,
+                            backend=backend)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            workload.run(config, cache=AnalysisCache())
+            gc.collect()
+            leaked = sorted({type(obj).__name__ for obj in gc.garbage
+                             if isinstance(obj, _RUN_TYPES)})
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+        assert leaked == []
