@@ -18,10 +18,13 @@ parameterized queries. Design points:
   ``(store generation, query, args)``; any new ingest bumps the
   generation, implicitly invalidating every cached entry without a
   coordination channel between writers and readers.
-- **Safe concurrent readers.** Each query opens a fresh SQLite
-  connection (WAL readers never block the writer) and the cache is
-  guarded by a lock, so one service instance can be shared across
-  reader threads — the serving benchmark drives it with N threads.
+- **One connection and one snapshot per query.** Each query runs in
+  one :meth:`~repro.results.store.ResultsStore.reading` scope: its
+  generation read, cache check and SQL share one SQLite connection and
+  one read transaction (WAL readers never block the writer), closed
+  when the query returns. The cache is guarded by a lock, so one
+  service instance can be shared across reader threads — the serving
+  benchmark drives it with N threads.
 
 The module doubles as the ``python -m repro.results`` CLI.
 """
@@ -61,19 +64,20 @@ class ResultsService:
     def _cached(self, key, compute):
         """Memoize ``compute()`` under ``(generation,) + key``.
 
-        The generation read and the query itself are not atomic; the
-        worst case under a concurrent ingest is caching a *newer* answer
-        under an older generation key, which the next bump evicts — the
-        cache can serve stale-by-one reads during an ingest, never
-        wrong-forever ones.
+        The generation read, the hit check and every statement of
+        ``compute()`` share one read scope: one connection and one
+        snapshot, so an answer cached under generation *g* is computed
+        from exactly the data of generation *g*, even while an ingest
+        lands. The lock covers only the cache dict.
         """
-        full_key = (self.store.generation(),) + key
-        with self._lock:
-            if full_key in self._cache:
-                self._cache.move_to_end(full_key)
-                self.hits += 1
-                return self._cache[full_key]
-        value = compute()
+        with self.store.reading():
+            full_key = (self.store.generation(),) + key
+            with self._lock:
+                if full_key in self._cache:
+                    self._cache.move_to_end(full_key)
+                    self.hits += 1
+                    return self._cache[full_key]
+            value = compute()
         with self._lock:
             self.misses += 1
             self._cache[full_key] = value
@@ -212,10 +216,11 @@ class ResultsService:
         label.sensitive_webview_types = [
             c for c in label.webview_sdk_types if c in SENSITIVE_TYPES
         ]
-        assert label.grade == grade, (
-            "stored grade %r disagrees with derived grade %r for %s"
-            % (grade, label.grade, package)
-        )
+        if label.grade != grade:
+            raise ValueError(
+                "stored grade %r disagrees with derived grade %r for %s"
+                % (grade, label.grade, package)
+            )
         return label
 
     def endpoint_summary(self, app, corpus=None, options=None,

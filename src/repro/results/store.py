@@ -24,17 +24,23 @@ the entities the paper's questions are asked over:
   from the injection-impact census (:mod:`repro.impact`).
 
 Conventions mirror :class:`repro.obs.store.TelemetryStore` and the
-longitudinal RunStore: WAL journal with a busy timeout, a fresh
-connection per operation (fork-safe), append-only writes, corrupt
-databases read as absent, and failed writes degrade to a logged warning
-so the store never fails the study it is recording.
+longitudinal RunStore: WAL journal with a busy timeout, append-only
+writes, corrupt databases read as absent, and failed writes degrade to a
+logged warning so the store never fails the study it is recording. Each
+ingest runs on its own connection. Reads run inside a read scope
+(:meth:`ResultsStore.reading`): one connection and one read snapshot
+for every read in it, closed when the scope ends, so no connection
+crosses a fork or a thread. A read outside any scope gets a scope of its
+own.
 
 The read side lives in :mod:`repro.results.serve`.
 """
 
+import contextlib
 import json
 import os
 import sqlite3
+import threading
 
 from repro.errors import NetworkError
 from repro.obs.logs import get_logger
@@ -216,6 +222,9 @@ class ResultsStore:
             )
         self.path = str(path)
         self.log = get_logger("results.store")
+        # The calling thread's open read scope: its connection, or None
+        # when the database could not be opened (reads as absent).
+        self._reader = threading.local()
         self._ensure_schema()
 
     @classmethod
@@ -229,11 +238,15 @@ class ResultsStore:
     # -- connections ---------------------------------------------------------
 
     def _connect(self):
-        # Fresh connection per operation: fork-safe, and concurrent
-        # reader/writer processes interleave via WAL.
+        # Connections live for one ingest or one read scope: fork-safe,
+        # and concurrent reader/writer processes interleave via WAL.
+        # ``timeout`` sets SQLite's busy timeout on the connection.
         conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_MS / 1000.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA busy_timeout=%d" % _BUSY_TIMEOUT_MS)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+        except sqlite3.Error:
+            conn.close()
+            raise
         return conn
 
     def _ensure_schema(self):
@@ -387,17 +400,46 @@ class ResultsStore:
 
     # -- reads (corrupt database => empty results) ---------------------------
 
-    def _query(self, sql, params=()):
+    @contextlib.contextmanager
+    def reading(self):
+        """Run every read inside on one connection and one snapshot.
+
+        Opens a connection and a deferred read transaction (``BEGIN``):
+        the snapshot is fixed by the first read, so :meth:`generation`
+        read first names exactly the data every later read sees, however
+        many ingests land meanwhile. A nested scope on the same thread
+        reuses the open one. The outermost scope closes the connection
+        on exit, which rolls the read transaction back, so no connection
+        outlives its scope. A database that cannot be opened reads as
+        absent for the whole scope.
+        """
+        reader = self._reader
+        if hasattr(reader, "conn"):
+            yield
+            return
         try:
             conn = self._connect()
         except sqlite3.Error:
-            return []
+            conn = None
+        reader.conn = conn
         try:
-            return conn.execute(sql, params).fetchall()
-        except sqlite3.Error:
-            return []
+            if conn is not None:
+                conn.execute("BEGIN")
+            yield
         finally:
-            conn.close()
+            del reader.conn
+            if conn is not None:
+                conn.close()
+
+    def _query(self, sql, params=()):
+        with self.reading():
+            conn = self._reader.conn
+            if conn is None:
+                return []
+            try:
+                return conn.execute(sql, params).fetchall()
+            except sqlite3.Error:
+                return []
 
     def list_ingests(self, kind=None):
         """Ingest metadata dicts, oldest first; optionally one kind."""

@@ -5,14 +5,16 @@ The load-bearing property is *byte-equality*: every answer the
 equal what the in-memory aggregation (Aggregator, TrendSeries,
 nutrition labels, ``CrawlResult.endpoint_summary``) computes from the
 live study objects. The store itself follows the TelemetryStore
-conventions: WAL + fresh connection per op, idempotent delta-appends,
-two concurrent writer processes interleave safely, corrupt databases
-read as absent.
+conventions: WAL, idempotent delta-appends, two concurrent writer
+processes interleave safely, corrupt databases read as absent. Each
+served query runs on one connection and one read snapshot.
 """
 
 import os
+import sqlite3
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -69,6 +71,39 @@ def populated(tmp_path_factory):
 def service(populated):
     store = populated[0]
     return ResultsService(store)
+
+
+#: Every public ResultsService query method.
+SERVED_QUERIES = (
+    "sdk_league", "adoption_trend", "nutrition_label", "endpoint_summary",
+    "endpoint_census", "webapi_usage", "bridge_findings",
+    "capability_ranking", "static_endpoints", "static_sdk_census",
+    "validation", "funnel",
+)
+
+
+def query_args(populated, name):
+    """Positional arguments for one served query on ``populated``."""
+    static, crawl = populated[1], populated[3]
+    if name == "nutrition_label":
+        return (static.result.successful()[0].package,)
+    if name == "endpoint_summary":
+        return (crawl.visits[0].app.name,)
+    return ()
+
+
+@pytest.fixture
+def connections(monkeypatch):
+    """The database path of every ``sqlite3.connect`` call, in order."""
+    opened = []
+    connect = sqlite3.connect
+
+    def counting_connect(database, *args, **kwargs):
+        opened.append(database)
+        return connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    return opened
 
 
 class TestIngest:
@@ -265,6 +300,45 @@ class TestServingCache:
         assert len(service._cache) == 2
 
 
+class TestReadScope:
+    @pytest.mark.parametrize("name", SERVED_QUERIES)
+    def test_one_connection_per_query(self, populated, connections, name):
+        args = query_args(populated, name)
+        getattr(ResultsService(populated[0], cache_size=0), name)(*args)
+        assert len(connections) == 1
+        warm = ResultsService(populated[0])
+        getattr(warm, name)(*args)
+        del connections[:]
+        getattr(warm, name)(*args)
+        assert warm.hits == 1
+        assert len(connections) <= 1
+
+    def test_answer_matches_its_generation(self, tmp_path, monkeypatch):
+        """An ingest landing after the generation read stays invisible."""
+        db = str(tmp_path / "r.db")
+        store = ResultsStore(db)
+        store.ingest(sample_result("snap"), snapshot="2023-01-13")
+        writer = ResultsStore(db)
+        service = ResultsService(store)
+        read_generation = store.generation
+        raced = []
+
+        def generation_then_ingest():
+            generation = read_generation()
+            if not raced:
+                raced.append(writer.ingest(sample_result("snap"),
+                                           snapshot="2023-04-13"))
+            return generation
+
+        monkeypatch.setattr(store, "generation", generation_then_ingest)
+        trend = service.adoption_trend()
+        assert raced == ["static-000002"]
+        assert len(trend) == 1
+        assert service._cache[(1, "adoption_trend", None, None)] is trend
+        assert len(service.adoption_trend()) == 2
+        assert (service.hits, service.misses) == (0, 2)
+
+
 class TestConcurrency:
     def test_two_writer_processes_interleave(self, tmp_path):
         """Two processes append distinct snapshots into one WAL db."""
@@ -303,6 +377,61 @@ class TestConcurrency:
         assert len(set(ids)) == 8
         assert store.generation() == 8
 
+    def test_reader_threads_beside_writer_thread(self, tmp_path):
+        """Eight readers share one service while snapshots land.
+
+        Every cached adoption trend must hold exactly as many points as
+        the generation it is keyed on, and no hit or miss is lost.
+        """
+        store = ResultsStore(str(tmp_path / "r.db"))
+        service = ResultsService(store)
+        snapshots = ["2023-%02d-13" % month for month in range(1, 13)]
+        done = threading.Event()
+        errors = []
+        calls = [0] * 8
+
+        def writer():
+            try:
+                for snapshot in snapshots:
+                    if store.ingest(sample_result("race", count=1),
+                                    snapshot=snapshot) is None:
+                        errors.append("ingest of %s failed" % snapshot)
+            except Exception as exc:  # re-raised by the asserts below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(index):
+            try:
+                while not done.is_set():
+                    service.adoption_trend()
+                    calls[index] += 1
+            except Exception as exc:  # re-raised by the asserts below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(index,),
+                                    daemon=True)
+                   for index in range(len(calls))]
+        threads.append(threading.Thread(target=writer, daemon=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert service.hits + service.misses == sum(calls)
+        trends = {key[0]: value for key, value in service._cache.items()
+                  if key[1] == "adoption_trend"}
+        assert trends
+        for generation, trend in trends.items():
+            assert len(trend) == generation
+        assert len(service.adoption_trend()) == len(snapshots)
+
 
 class TestCorruption:
     def test_corrupt_database_reads_as_absent(self, tmp_path):
@@ -327,6 +456,23 @@ class TestCorruption:
             handle.write(b"garbage" * 100)
         assert store.ingest(sample_result("w"),
                             snapshot="2023-01-13") is None
+
+    def test_tampered_grade_is_loud(self, tmp_path):
+        db = str(tmp_path / "r.db")
+        store = ResultsStore(db)
+        store.ingest(sample_result("g"), snapshot="2023-01-13")
+        derived = ResultsService(store).nutrition_label("com.g.app0").grade
+        tampered = "A" if derived == "F" else "F"
+        conn = sqlite3.connect(db)
+        with conn:
+            conn.execute("UPDATE outcomes SET grade = ? WHERE package = ?",
+                         (tampered, "com.g.app0"))
+        conn.close()
+        with pytest.raises(ValueError) as raised:
+            ResultsService(store).nutrition_label("com.g.app0")
+        message = str(raised.value)
+        assert "com.g.app0" in message
+        assert repr(tampered) in message and repr(derived) in message
 
     def test_schema_version_mismatch_is_loud(self, tmp_path):
         import sqlite3
