@@ -14,8 +14,9 @@ memoized facts.
 Both tiers are bounded LRU stores (``REPRO_CACHE_MAX_ENTRIES``; unbounded
 by default) with eviction accounting, and the class tier can spill to an
 on-disk layer (``REPRO_CACHE_DIR``) for warm starts across processes and
-runs. Facts are options-independent — they are pure functions of the
-class bytes — so the class tier needs no fingerprint.
+runs; its files follow :mod:`repro.persist` (atomic writes, a corrupt
+file reads as a miss). Facts are options-independent — they are pure
+functions of the class bytes — so the class tier needs no fingerprint.
 """
 
 import collections
@@ -23,6 +24,7 @@ import os
 import pickle
 
 from repro.exec.config import _env_int
+from repro.persist import atomic_write, load_pickle
 
 MAX_ENTRIES_ENV_VAR = "REPRO_CACHE_MAX_ENTRIES"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
@@ -101,8 +103,9 @@ class ClassFactsCache:
     any other picklable per-class derivation (endpoint propagation
     summaries use :data:`ENDPOINT_SUMMARY_KIND`). The in-memory LRU is
     backed by an optional on-disk layer: one pickle per digest, written
-    atomically (temp file + ``os.replace``), promoted back into memory
-    on load. Unreadable or corrupt files count as misses.
+    with :func:`repro.persist.atomic_write` and read with
+    :func:`repro.persist.load_pickle`, promoted back into memory on load.
+    Unreadable or corrupt files count as misses.
 
     Disk entries are namespaced by ``kind``: two analyses deriving
     different facts from the *same* class bytes share a digest, so each
@@ -130,23 +133,13 @@ class ClassFactsCache:
     def _disk_load(self, digest):
         if self.cache_dir is None:
             return None
-        try:
-            with open(self._path(digest), "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            return None
+        return load_pickle(self._path(digest))
 
     def _disk_store(self, digest, facts):
         if self.cache_dir is None:
             return
         try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            path = self._path(digest)
-            tmp = "%s.tmp.%d" % (path, os.getpid())
-            with open(tmp, "wb") as handle:
-                pickle.dump(facts, handle)
-            os.replace(tmp, path)
+            atomic_write(self._path(digest), pickle.dumps(facts))
         except OSError:
             pass
 

@@ -25,9 +25,10 @@ run measured, so one store directory is safe to share across corpora:
     a corrupt or truncated checkpoint is treated as absent (the run
     restarts cold, which is always correct, just slower).
 
-All disk writes are atomic (temp file + ``os.replace``), so a kill at
-any instant leaves either the old file or the new one, never a torn
-write. With no root directory configured — the ``REPRO_RUN_STORE``
+Files are written with :func:`repro.persist.atomic_write` and pickles
+read with :func:`repro.persist.load_pickle`, so a kill at any instant
+leaves either the old file or the new one, and a corrupt pickle reads as
+absent. With no root directory configured — the ``REPRO_RUN_STORE``
 environment variable unset and ``root=None`` — the store keeps the same
 state in process memory, which gives tests and one-shot scripts the full
 incremental machinery without touching disk.
@@ -38,6 +39,7 @@ import os
 import pickle
 
 from repro.exec import AnalysisCache
+from repro.persist import atomic_write, load_pickle
 from repro.util import fingerprint_token
 
 #: Directory for the persistent store; unset means in-memory only.
@@ -92,23 +94,6 @@ class RunStore:
             "%s_%s%s" % (sha256, token, _OUTCOME_SUFFIX),
         )
 
-    @staticmethod
-    def _atomic_write(path, data):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-
-    @staticmethod
-    def _load_pickle(path):
-        try:
-            with open(path, "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
-            return None
-
     # -- outcomes ------------------------------------------------------------
 
     def get_outcome(self, context, sha256, fingerprint):
@@ -116,9 +101,7 @@ class RunStore:
         key = (context, sha256, options_token(fingerprint))
         record = self._outcomes.get(key)
         if record is None and self.persistent:
-            record = self._load_pickle(
-                self._outcome_path(context, sha256, key[2])
-            )
+            record = load_pickle(self._outcome_path(context, sha256, key[2]))
             if record is not None:
                 self._outcomes[key] = record
         return record
@@ -131,7 +114,7 @@ class RunStore:
     def put_outcome_by_token(self, context, sha256, token, record):
         self._outcomes[(context, sha256, token)] = record
         if self.persistent:
-            self._atomic_write(
+            atomic_write(
                 self._outcome_path(context, sha256, token),
                 pickle.dumps(record),
             )
@@ -160,7 +143,7 @@ class RunStore:
         if self.persistent:
             path = os.path.join(self._run_dir(context, run_id),
                                 _MANIFEST_NAME)
-            self._atomic_write(
+            atomic_write(
                 path, json.dumps(manifest, sort_keys=True).encode("utf-8")
             )
         return manifest
@@ -223,7 +206,7 @@ class RunStore:
     def write_checkpoint(self, context, run_id, entries):
         self._checkpoints[(context, run_id)] = dict(entries)
         if self.persistent:
-            self._atomic_write(
+            atomic_write(
                 self._checkpoint_path(context, run_id),
                 pickle.dumps(dict(entries)),
             )
@@ -232,9 +215,7 @@ class RunStore:
         """Recovered (sha256, token) -> record map; {} when absent/corrupt."""
         entries = self._checkpoints.get((context, run_id))
         if entries is None and self.persistent:
-            entries = self._load_pickle(
-                self._checkpoint_path(context, run_id)
-            )
+            entries = load_pickle(self._checkpoint_path(context, run_id))
         if not isinstance(entries, dict):
             return {}
         return dict(entries)

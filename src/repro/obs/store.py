@@ -8,7 +8,7 @@ substrate for the analyses in :mod:`repro.obs.perf`: critical-path
 profiles and flamegraphs of any historical run, and regression gating of
 the latest run against the median of its predecessors.
 
-Design points, mirroring the longitudinal RunStore's conventions:
+Design points:
 
 - **Append-only.** Rows are only ever inserted; a run is immutable once
   recorded. "Latest" queries order by the monotonically increasing
@@ -17,14 +17,10 @@ Design points, mirroring the longitudinal RunStore's conventions:
   options token, git describe)``; the regression gate only compares runs
   of the same kind/corpus/options, so a corpus change never reads as a
   latency regression.
-- **Concurrent-safe.** WAL journal mode plus a busy timeout lets
-  concurrent writers (parallel CI legs, two benchmark processes) append
-  without corrupting each other, and readers never block writers. Every
-  operation opens a fresh connection, so the store is fork-safe.
-- **Corrupt reads as absent, failed writes as warnings.** Telemetry is
-  an observer: a truncated or garbage database yields empty listings
-  (same contract as a corrupt RunStore checkpoint), and a failed insert
-  logs a warning instead of failing the run it was watching.
+- **Shared persistence rules.** How the file opens, upgrades, is written
+  and is read — WAL, concurrent writers, corrupt files reading as
+  absent, failed writes as warnings — is :mod:`repro.persist`'s; this
+  module holds only the schema, the two writers and the queries.
 
 The module doubles as a CLI::
 
@@ -39,8 +35,6 @@ thresholds against its baseline window — CI wires it in as a soft gate.
 
 import argparse
 import json
-import os
-import sqlite3
 import subprocess
 import sys
 
@@ -48,20 +42,15 @@ from repro.obs import perf
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
+from repro.persist import SqliteStore, env_path
 
 #: Environment variable naming the telemetry database file.
 OBS_DB_ENV_VAR = "REPRO_OBS_DB"
 
-#: Bumped on any schema change; old files are never migrated in place
-#: (append-only history is cheap to regenerate, unlike run outcomes).
+#: Bumped on any schema change; :mod:`repro.persist` upgrades older files.
 SCHEMA_VERSION = 1
 
-_BUSY_TIMEOUT_MS = 5000
-
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS schema_info (
-    version INTEGER NOT NULL
-);
 CREATE TABLE IF NOT EXISTS runs (
     seq INTEGER PRIMARY KEY AUTOINCREMENT,
     run_id TEXT UNIQUE,
@@ -101,26 +90,7 @@ def env_db_path():
     or is creatable; pointing it at an existing directory is the most
     common misconfiguration and gets a specific message.
     """
-    raw = os.environ.get(OBS_DB_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    path = raw.strip()
-    if os.path.isdir(path):
-        raise ValueError(
-            "%s=%r is a directory; it must name a database file, e.g. "
-            "%s=%s" % (OBS_DB_ENV_VAR, raw, OBS_DB_ENV_VAR,
-                       os.path.join(path, "telemetry.db"))
-        )
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        try:
-            os.makedirs(parent, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(
-                "%s=%r names a file in an uncreatable directory (%s)"
-                % (OBS_DB_ENV_VAR, raw, exc)
-            )
-    return path
+    return env_path(OBS_DB_ENV_VAR, TelemetryStore.FILE_NAME)
 
 
 def git_describe(cwd=None):
@@ -137,61 +107,17 @@ def git_describe(cwd=None):
     return out.stdout.decode("utf-8", "replace").strip()
 
 
-class TelemetryStore:
+class TelemetryStore(SqliteStore):
     """Append-only SQLite sink for finished runs' observability state."""
 
-    def __init__(self, path):
-        if not path or not str(path).strip():
-            raise ValueError(
-                "TelemetryStore needs a database file path; set the %s "
-                "environment variable or pass one explicitly"
-                % OBS_DB_ENV_VAR
-            )
-        self.path = str(path)
-        self.log = get_logger("obs.store")
-        self._ensure_schema()
-
-    @classmethod
-    def from_env(cls):
-        """A store for ``REPRO_OBS_DB``, or None when the var is unset."""
-        path = env_db_path()
-        if path is None:
-            return None
-        return cls(path)
-
-    # -- connections ---------------------------------------------------------
-
-    def _connect(self):
-        # A fresh connection per operation keeps the store safe across
-        # fork-based worker pools (sqlite connections must not cross a
-        # fork) and lets concurrent processes interleave via WAL.
-        conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_MS / 1000.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA busy_timeout=%d" % _BUSY_TIMEOUT_MS)
-        return conn
-
-    def _ensure_schema(self):
-        conn = self._connect()
-        try:
-            with conn:
-                conn.executescript(_SCHEMA)
-                row = conn.execute(
-                    "SELECT version FROM schema_info"
-                ).fetchone()
-                if row is None:
-                    conn.execute(
-                        "INSERT INTO schema_info (version) VALUES (?)",
-                        (SCHEMA_VERSION,),
-                    )
-                elif row[0] != SCHEMA_VERSION:
-                    raise ValueError(
-                        "telemetry database %s has schema version %d, "
-                        "this build writes version %d; point %s at a "
-                        "fresh file" % (self.path, row[0], SCHEMA_VERSION,
-                                        OBS_DB_ENV_VAR)
-                    )
-        finally:
-            conn.close()
+    NOUN = "telemetry"
+    ENV_VAR = OBS_DB_ENV_VAR
+    FILE_NAME = "telemetry.db"
+    SCHEMA = _SCHEMA
+    SCHEMA_VERSION = SCHEMA_VERSION
+    HEAD_TABLE = "runs"
+    ID_COLUMN = "run_id"
+    log = get_logger("obs.store")
 
     # -- writes --------------------------------------------------------------
 
@@ -211,79 +137,41 @@ class TelemetryStore:
             span.duration for span in obs.tracer.iter_spans()
             if span.name == root_span
         )
-        try:
-            return self._insert_run(kind, label, corpus, options, git,
-                                    items, elapsed, trees, snapshot, ())
-        except sqlite3.Error as exc:
-            self.log.warning("record_failed", kind=kind, error=str(exc))
-            return None
+
+        def write(conn, seq):
+            conn.executemany(
+                "INSERT INTO traces (run_seq, position, tree)"
+                " VALUES (?, ?, ?)",
+                [(seq, position, tree) for position, tree
+                 in enumerate(trees)],
+            )
+            conn.execute(
+                "INSERT INTO registries (run_seq, snapshot) VALUES (?, ?)",
+                (seq, snapshot),
+            )
+
+        return self._append(
+            {"kind": kind, "label": label, "corpus": corpus,
+             "options": options, "git": git, "items": items,
+             "elapsed": elapsed}, write,
+        )
 
     def record_bench(self, name, payload, git=None):
         """Persist one benchmark's JSON payload; returns run_id or None."""
         if git is None:
             git = git_describe()
-        try:
-            return self._insert_run(
-                "bench", name, "", "", git, 0, 0.0, (), None,
-                ((name, json.dumps(payload, sort_keys=True)),),
-            )
-        except sqlite3.Error as exc:
-            self.log.warning("record_failed", kind="bench", error=str(exc))
-            return None
+        text = json.dumps(payload, sort_keys=True)
 
-    def _insert_run(self, kind, label, corpus, options, git, items,
-                    elapsed, trees, snapshot, payloads):
-        conn = self._connect()
-        try:
-            with conn:
-                # BEGIN IMMEDIATE serializes the id allocation across
-                # concurrent writer processes.
-                conn.execute("BEGIN IMMEDIATE")
-                cursor = conn.execute(
-                    "INSERT INTO runs (kind, label, corpus, options, git,"
-                    " items, elapsed) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (kind, label, corpus, options, git, items, elapsed),
-                )
-                seq = cursor.lastrowid
-                run_id = "%s-%06d" % (kind, seq)
-                conn.execute("UPDATE runs SET run_id = ? WHERE seq = ?",
-                             (run_id, seq))
-                for position, tree in enumerate(trees):
-                    conn.execute(
-                        "INSERT INTO traces (run_seq, position, tree)"
-                        " VALUES (?, ?, ?)",
-                        (seq, position, tree),
-                    )
-                if snapshot is not None:
-                    conn.execute(
-                        "INSERT INTO registries (run_seq, snapshot)"
-                        " VALUES (?, ?)",
-                        (seq, snapshot),
-                    )
-                for name, payload in payloads:
-                    conn.execute(
-                        "INSERT INTO bench_payloads (run_seq, name,"
-                        " payload) VALUES (?, ?, ?)",
-                        (seq, name, payload),
-                    )
-        finally:
-            conn.close()
-        self.log.info("recorded", run=run_id, kind=kind, items=items)
-        return run_id
+        def write(conn, seq):
+            conn.execute(
+                "INSERT INTO bench_payloads (run_seq, name, payload)"
+                " VALUES (?, ?, ?)", (seq, name, text),
+            )
+
+        return self._append({"kind": "bench", "label": name, "git": git},
+                            write)
 
     # -- reads (corrupt database => empty results) ---------------------------
-
-    def _query(self, sql, params=()):
-        try:
-            conn = self._connect()
-        except sqlite3.Error:
-            return []
-        try:
-            return conn.execute(sql, params).fetchall()
-        except sqlite3.Error:
-            return []
-        finally:
-            conn.close()
 
     def list_runs(self, kind=None):
         """Run metadata dicts, oldest first; optionally one kind only."""
@@ -370,9 +258,6 @@ class TelemetryStore:
         params.append(int(limit))
         return [row[0] for row in self._query(sql, tuple(params))]
 
-    def __repr__(self):
-        return "TelemetryStore(%s)" % self.path
-
 
 # -- regression gate ----------------------------------------------------------
 
@@ -410,17 +295,6 @@ def check_latest(store, kind, window=None, thresholds=None):
 
 
 # -- CLI ----------------------------------------------------------------------
-
-
-def _open_store(args):
-    if args.db:
-        return TelemetryStore(args.db)
-    store = TelemetryStore.from_env()
-    if store is None:
-        raise SystemExit(
-            "no telemetry database: set %s or pass --db" % OBS_DB_ENV_VAR
-        )
-    return store
 
 
 def _cmd_list(store, args):
@@ -545,7 +419,7 @@ def main(argv=None):
     cmd.add_argument("--out", help="write to a file instead of stdout")
 
     args = parser.parse_args(argv)
-    store = _open_store(args)
+    store = TelemetryStore.from_cli(args.db)
     handler = {
         "list": _cmd_list,
         "show": _cmd_show,

@@ -537,17 +537,6 @@ class ResultsService:
 # -- CLI ----------------------------------------------------------------------
 
 
-def _open_service(args):
-    if args.db:
-        return ResultsService(ResultsStore(args.db))
-    service = ResultsService.from_env()
-    if service is None:
-        raise SystemExit(
-            "no results database: set %s or pass --db" % RESULTS_DB_ENV_VAR
-        )
-    return service
-
-
 def _cmd_snapshots(service, args):
     ingests = service.store.list_ingests(kind=args.kind)
     if not ingests:
@@ -792,7 +781,7 @@ def main(argv=None):
     cmd.add_argument("--snapshot", default=None)
 
     args = parser.parse_args(argv)
-    service = _open_service(args)
+    service = ResultsService(ResultsStore.from_cli(args.db))
     handler = {
         "snapshots": _cmd_snapshots,
         "league": _cmd_league,

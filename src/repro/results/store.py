@@ -23,46 +23,40 @@ the entities the paper's questions are asked over:
 - ``bridge_findings`` — per-(app, SDK, bridge, attacker) severity rows
   from the injection-impact census (:mod:`repro.impact`).
 
-Conventions mirror :class:`repro.obs.store.TelemetryStore` and the
-longitudinal RunStore: WAL journal with a busy timeout, append-only
-writes, corrupt databases read as absent, and failed writes degrade to a
-logged warning so the store never fails the study it is recording. Each
-ingest runs on its own connection. Reads run inside a read scope
-(:meth:`ResultsStore.reading`): one connection and one read snapshot
-for every read in it, closed when the scope ends, so no connection
-crosses a fork or a thread. A read outside any scope gets a scope of its
-own.
+How the file opens, upgrades, is written and is read is
+:mod:`repro.persist`'s, shared with the telemetry store: WAL with a busy
+timeout, one ``BEGIN IMMEDIATE`` transaction per ingest, an older file
+upgraded in place and a newer one refused, a corrupt file reading as
+absent and a failed write degrading to a logged warning, so the store
+never fails the study it is recording. Reads run inside a read scope
+(:meth:`~repro.persist.SqliteStore.reading`): one connection and one
+read snapshot for every read in it. This module holds only the schema,
+the ingest writers and the store-side queries.
 
 The read side lives in :mod:`repro.results.serve`.
 """
 
-import contextlib
 import json
-import os
-import sqlite3
-import threading
 
 from repro.errors import NetworkError
 from repro.obs.logs import get_logger
 from repro.obs.store import git_describe
+from repro.persist import SqliteStore, env_path
 from repro.web.classify import classify_endpoint
 from repro.web.urls import parse_url_cached
 
 #: Environment variable naming the results database file.
 RESULTS_DB_ENV_VAR = "REPRO_RESULTS_DB"
 
-#: Bumped on any schema change; old files are never migrated in place.
+#: Bumped on any schema change. Older files are upgraded in place
+#: (:mod:`repro.persist`): both changes so far only added tables and
+#: indexes, so re-running ``_SCHEMA`` is the whole migration.
 #: v2: added the ``bridge_findings`` table (injection-impact census).
 #: v3: added the ``static_endpoints`` table (static endpoint census and
 #: its dynamic cross-validation rows).
 SCHEMA_VERSION = 3
 
-_BUSY_TIMEOUT_MS = 5000
-
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS schema_info (
-    version INTEGER NOT NULL
-);
 CREATE TABLE IF NOT EXISTS snapshots (
     seq INTEGER PRIMARY KEY AUTOINCREMENT,
     ingest_id TEXT UNIQUE,
@@ -188,89 +182,24 @@ CREATE INDEX IF NOT EXISTS static_endpoints_by_sdk
 
 def env_db_path():
     """The validated ``REPRO_RESULTS_DB`` value, or None when unset."""
-    raw = os.environ.get(RESULTS_DB_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    path = raw.strip()
-    if os.path.isdir(path):
-        raise ValueError(
-            "%s=%r is a directory; it must name a database file, e.g. "
-            "%s=%s" % (RESULTS_DB_ENV_VAR, raw, RESULTS_DB_ENV_VAR,
-                       os.path.join(path, "results.db"))
-        )
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        try:
-            os.makedirs(parent, exist_ok=True)
-        except OSError as exc:
-            raise ValueError(
-                "%s=%r names a file in an uncreatable directory (%s)"
-                % (RESULTS_DB_ENV_VAR, raw, exc)
-            )
-    return path
+    return env_path(RESULTS_DB_ENV_VAR, ResultsStore.FILE_NAME)
 
 
-class ResultsStore:
+#: Columns that identify an ingest: re-ingesting a stored key is a no-op.
+_INGEST_KEY = ("kind", "corpus", "options", "snapshot")
+
+
+class ResultsStore(SqliteStore):
     """Append-only SQLite sink + source for finished study results."""
 
-    def __init__(self, path):
-        if not path or not str(path).strip():
-            raise ValueError(
-                "ResultsStore needs a database file path; set the %s "
-                "environment variable or pass one explicitly"
-                % RESULTS_DB_ENV_VAR
-            )
-        self.path = str(path)
-        self.log = get_logger("results.store")
-        # The calling thread's open read scope: its connection, or None
-        # when the database could not be opened (reads as absent).
-        self._reader = threading.local()
-        self._ensure_schema()
-
-    @classmethod
-    def from_env(cls):
-        """A store for ``REPRO_RESULTS_DB``, or None when unset."""
-        path = env_db_path()
-        if path is None:
-            return None
-        return cls(path)
-
-    # -- connections ---------------------------------------------------------
-
-    def _connect(self):
-        # Connections live for one ingest or one read scope: fork-safe,
-        # and concurrent reader/writer processes interleave via WAL.
-        # ``timeout`` sets SQLite's busy timeout on the connection.
-        conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_MS / 1000.0)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.Error:
-            conn.close()
-            raise
-        return conn
-
-    def _ensure_schema(self):
-        conn = self._connect()
-        try:
-            with conn:
-                conn.executescript(_SCHEMA)
-                row = conn.execute(
-                    "SELECT version FROM schema_info"
-                ).fetchone()
-                if row is None:
-                    conn.execute(
-                        "INSERT INTO schema_info (version) VALUES (?)",
-                        (SCHEMA_VERSION,),
-                    )
-                elif row[0] != SCHEMA_VERSION:
-                    raise ValueError(
-                        "results database %s has schema version %d, this "
-                        "build writes version %d; point %s at a fresh "
-                        "file" % (self.path, row[0], SCHEMA_VERSION,
-                                  RESULTS_DB_ENV_VAR)
-                    )
-        finally:
-            conn.close()
+    NOUN = "results"
+    ENV_VAR = RESULTS_DB_ENV_VAR
+    FILE_NAME = "results.db"
+    SCHEMA = _SCHEMA
+    SCHEMA_VERSION = SCHEMA_VERSION
+    HEAD_TABLE = "snapshots"
+    ID_COLUMN = "ingest_id"
+    log = get_logger("results.store")
 
     # -- generation counter --------------------------------------------------
 
@@ -354,92 +283,14 @@ class ResultsStore:
     def _ingest(self, kind, writer, corpus, options, snapshot, git):
         if git is None:
             git = git_describe()
-        try:
-            return self._insert_ingest(kind, writer, corpus, options,
-                                       snapshot, git)
-        except sqlite3.Error as exc:
-            self.log.warning("ingest_failed", kind=kind, error=str(exc))
-            return None
-
-    def _insert_ingest(self, kind, writer, corpus, options, snapshot, git):
-        conn = self._connect()
-        try:
-            with conn:
-                # BEGIN IMMEDIATE serializes id allocation and the
-                # idempotence check across concurrent writer processes.
-                conn.execute("BEGIN IMMEDIATE")
-                existing = conn.execute(
-                    "SELECT ingest_id FROM snapshots WHERE kind = ? AND"
-                    " corpus = ? AND options = ? AND snapshot = ?",
-                    (kind, corpus, options, snapshot),
-                ).fetchone()
-                if existing is not None:
-                    self.log.info("ingest_skipped", kind=kind,
-                                  ingest=existing[0], snapshot=snapshot)
-                    return existing[0]
-                cursor = conn.execute(
-                    "INSERT INTO snapshots (kind, corpus, options,"
-                    " snapshot, git, items, funnel)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (kind, corpus, options, snapshot, git,
-                     writer.items(), json.dumps(writer.funnel(),
-                                                sort_keys=True)),
-                )
-                seq = cursor.lastrowid
-                ingest_id = "%s-%06d" % (kind, seq)
-                conn.execute(
-                    "UPDATE snapshots SET ingest_id = ? WHERE seq = ?",
-                    (ingest_id, seq),
-                )
-                writer.write(conn, seq)
-        finally:
-            conn.close()
-        self.log.info("ingested", ingest=ingest_id, kind=kind,
-                      snapshot=snapshot, items=writer.items())
-        return ingest_id
+        return self._append(
+            {"kind": kind, "corpus": corpus, "options": options,
+             "snapshot": snapshot, "git": git, "items": writer.items(),
+             "funnel": json.dumps(writer.funnel(), sort_keys=True)},
+            writer.write, key=_INGEST_KEY,
+        )
 
     # -- reads (corrupt database => empty results) ---------------------------
-
-    @contextlib.contextmanager
-    def reading(self):
-        """Run every read inside on one connection and one snapshot.
-
-        Opens a connection and a deferred read transaction (``BEGIN``):
-        the snapshot is fixed by the first read, so :meth:`generation`
-        read first names exactly the data every later read sees, however
-        many ingests land meanwhile. A nested scope on the same thread
-        reuses the open one. The outermost scope closes the connection
-        on exit, which rolls the read transaction back, so no connection
-        outlives its scope. A database that cannot be opened reads as
-        absent for the whole scope.
-        """
-        reader = self._reader
-        if hasattr(reader, "conn"):
-            yield
-            return
-        try:
-            conn = self._connect()
-        except sqlite3.Error:
-            conn = None
-        reader.conn = conn
-        try:
-            if conn is not None:
-                conn.execute("BEGIN")
-            yield
-        finally:
-            del reader.conn
-            if conn is not None:
-                conn.close()
-
-    def _query(self, sql, params=()):
-        with self.reading():
-            conn = self._reader.conn
-            if conn is None:
-                return []
-            try:
-                return conn.execute(sql, params).fetchall()
-            except sqlite3.Error:
-                return []
 
     def list_ingests(self, kind=None):
         """Ingest metadata dicts, oldest first; optionally one kind."""
@@ -481,9 +332,6 @@ class ResultsStore:
             return json.loads(rows[0][0])
         except ValueError:
             return {}
-
-    def __repr__(self):
-        return "ResultsStore(%s)" % self.path
 
 
 # -- ingest writers -----------------------------------------------------------
