@@ -3,8 +3,9 @@
 Not a paper table — this tracks what the crawl sharding and the
 compiled-script cache actually buy: the simulated parallel speedup of
 the per-app crawl shards at 4 workers, the warm-vs-cold parse-stage
-speedup of the corpus-wide :class:`~repro.web.jsengine.ScriptCache`
-over the real injected-script corpus, and the site-template cache's
+speedup of the corpus-wide parsed-script cache
+(:func:`~repro.web.jsengine.default_script_cache`) over the real
+injected-script corpus, and the site-template cache's
 hit rate across app shards. The acceptance bars from DESIGN.md
 §Dynamic throughput are asserted here too: >=2x on both speedups, with
 :class:`~repro.dynamic.crawler.CrawlResult` and every exported non-exec
@@ -31,7 +32,12 @@ from repro.obs import (
     SCRIPT_CACHE_MISSES_METRIC,
     STAGE_SECONDS_METRIC,
 )
-from repro.web.jsengine import ScriptCache, parse_js
+from repro.web.jsengine import (
+    _parse_for_run,
+    default_script_cache,
+    parse_js,
+    script_cache_override,
+)
 from repro.web.sites import top_sites
 
 SITES_ENV_VAR = "REPRO_BENCH_SITES"
@@ -56,14 +62,14 @@ def _site_count():
 bench_json = bench_json_fixture("dynamic", site_count=_site_count)
 
 
-def _run_crawl(max_workers, script_cache, clock=None):
+def _run_crawl(max_workers, cache, clock=None):
     obs = Obs(clock=clock)
     crawler = AdbCrawler(
         webview_iab_profiles(), sites=top_sites(_site_count()), seed=7,
         obs=obs,
         exec_config=ExecConfig(max_workers=max_workers, chunk_size=1,
                                backend="inline",
-                               script_cache=script_cache),
+                               cache=cache),
     )
     return obs, crawler.crawl()
 
@@ -80,8 +86,8 @@ def _non_exec_metrics(obs):
 
 def test_parallel_crawl_speedup(bench_json):
     """Sharded crawl at 4 workers: >=2x, byte-identical to serial."""
-    serial_obs, serial = _run_crawl(1, script_cache=False)
-    sharded_obs, sharded = _run_crawl(4, script_cache=True)
+    serial_obs, serial = _run_crawl(1, cache=False)
+    sharded_obs, sharded = _run_crawl(4, cache=True)
 
     busy = sum(
         sharded_obs.registry.label_values(EXEC_WORKER_BUSY_METRIC).values()
@@ -123,7 +129,7 @@ def test_parallel_crawl_speedup(bench_json):
 
 def test_per_stage_latencies(bench_json):
     """Real-clock stage latencies of a sharded crawl, for the JSON."""
-    obs, result = _run_crawl(4, script_cache=True, clock=time.perf_counter)
+    obs, result = _run_crawl(4, cache=True, clock=time.perf_counter)
     stages = {
         labels[0]: round(value, 6)
         for labels, value in
@@ -147,7 +153,7 @@ def test_per_stage_latencies(bench_json):
 
 
 def test_script_cache_parse_speedup(bench_json):
-    """Warm ScriptCache vs raw parse over the injected-script corpus.
+    """Warm script cache vs raw parse over the injected-script corpus.
 
     Models the crawl's parse workload: every injected script is executed
     once per visit, so each source parses ``PARSE_ROUNDS`` times without
@@ -168,17 +174,17 @@ def test_script_cache_parse_speedup(bench_json):
         return time.perf_counter() - start
 
     def warm_pass():
-        cache = ScriptCache()
+        default_script_cache().clear()
         start = time.perf_counter()
-        for _ in range(PARSE_ROUNDS):
-            for source in sources:
-                cache.parse(source)
-        return time.perf_counter() - start, cache
+        with script_cache_override(True):
+            for _ in range(PARSE_ROUNDS):
+                for source in sources:
+                    _parse_for_run(source)
+        return time.perf_counter() - start
 
     cold = min(cold_pass() for _ in range(2))
-    timings = [warm_pass() for _ in range(2)]
-    warm = min(seconds for seconds, _ in timings)
-    cache = timings[0][1]
+    warm = min(warm_pass() for _ in range(2))
+    cache = default_script_cache()
     speedup = cold / warm
 
     print()

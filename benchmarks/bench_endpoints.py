@@ -78,14 +78,14 @@ def _endpoint_metrics(obs):
             if m["name"].startswith("repro_endpoints_")]
 
 
-def _run(corpus=None, cache=None, **exec_kwargs):
+def _run(corpus=None, analysis_cache=None, **exec_kwargs):
     if corpus is None:
         corpus = generate_corpus(CorpusConfig(universe_size=SMALL_UNIVERSE))
-    # Arms are explicit about the cache so a REPRO_ENDPOINT_CACHE=0
-    # environment (the CI cache-off leg) cannot flip the cache-on arms.
-    exec_kwargs.setdefault("endpoint_cache", True)
+    # Arms are explicit about the cache so a REPRO_CACHE=0 environment
+    # (the CI cache-off leg) cannot flip the cache-on arms.
+    exec_kwargs.setdefault("cache", True)
     obs = Obs()
-    census = EndpointCensus(corpus, obs=obs, cache=cache,
+    census = EndpointCensus(corpus, obs=obs, cache=analysis_cache,
                             exec_config=ExecConfig(**exec_kwargs))
     start = time.perf_counter()
     result = census.run()
@@ -106,14 +106,14 @@ def test_reconstruction_determinism(bench_json):
                                    window=1),
         "chunk3_process_4w": dict(max_workers=4, backend="process",
                                   chunk_size=3),
-        "cache_off": dict(max_workers=1, endpoint_cache=False),
+        "cache_off": dict(max_workers=1, cache=False),
         "cache_off_process_4w": dict(max_workers=4, backend="process",
-                                     endpoint_cache=False),
+                                     cache=False),
     }
     for name, kwargs in arms.items():
         _, result, _, obs = _run(**kwargs)
         assert _snapshot(result) == reference, name
-        if kwargs.get("endpoint_cache", True):
+        if kwargs.get("cache", True):
             # Cache-on arms agree on every endpoint counter too (the
             # summary accounting replays in selection order).
             assert (_endpoint_metrics(obs)
@@ -149,7 +149,7 @@ def test_warm_cache_speedup(bench_json):
     summaries_cache = AnalysisCache(
         summaries=corpus.analysis_cache.summaries)
     _, summary_result, summary_elapsed, summary_obs = _run(
-        corpus=corpus, cache=summaries_cache, max_workers=1,
+        corpus=corpus, analysis_cache=summaries_cache, max_workers=1,
         backend="inline")
     assert _snapshot(summary_result) == _snapshot(cold_result)
     registry = summary_obs.registry

@@ -65,7 +65,7 @@ def _run_crawl(taint):
         webview_iab_profiles(), sites=top_sites(_site_count()), seed=7,
         obs=obs,
         exec_config=ExecConfig(max_workers=4, chunk_size=1,
-                               backend="inline", script_cache=False),
+                               backend="inline", cache=False),
     )
     with taint_override(taint):
         start = time.perf_counter()

@@ -144,7 +144,7 @@ def _timed_run(corpus, cache, class_cache=True):
     pipeline = StaticAnalysisPipeline(
         corpus, obs=obs, cache=cache,
         exec_config=ExecConfig(max_workers=4, chunk_size=4,
-                               backend="inline", class_cache=class_cache),
+                               backend="inline", cache=class_cache),
     )
     result = pipeline.run()
     stages = {

@@ -183,17 +183,16 @@ class DynamicStudy:
 
     Like :class:`StaticStudy`, ``max_workers`` / ``chunk_size`` /
     ``exec_backend`` shard the crawl (per app) over the :mod:`repro.exec`
-    streaming scheduler, and ``script_cache`` toggles the
-    compiled-script cache (``REPRO_SCRIPT_CACHE``); left at None they
-    fall back to the environment. Crawl results and metrics are
-    byte-identical for any worker count and cache setting (see DESIGN.md
-    §Dynamic throughput).
+    streaming scheduler; left at None they fall back to the environment,
+    and ``REPRO_CACHE`` switches the parsed-script cache. Crawl results
+    and metrics are byte-identical for any worker count and cache
+    setting (see DESIGN.md §Dynamic throughput).
     """
 
     def __init__(self, seed=DEFAULT_SEED, site_count=100, total_apps=1000,
                  obs=None, max_workers=None, chunk_size=None,
-                 exec_backend=None, script_cache=None, telemetry=None,
-                 results_store=None, progress_hook=None):
+                 exec_backend=None, telemetry=None, results_store=None,
+                 progress_hook=None):
         self.seed = seed
         self.obs = obs if obs is not None else Obs()
         self.telemetry = (telemetry if telemetry is not None
@@ -210,8 +209,7 @@ class DynamicStudy:
                                   DEFAULT_CRAWL_CHUNK_SIZE)
         self.exec_config = ExecConfig(max_workers=max_workers,
                                       chunk_size=chunk_size,
-                                      backend=exec_backend,
-                                      script_cache=script_cache)
+                                      backend=exec_backend)
         self._classifications = None
         self._measurements = None
         self._crawl = None
@@ -312,26 +310,18 @@ class DynamicStudy:
     def _finish_crawl(self, crawl):
         """Memoize the crawl and persist telemetry + queryable rows."""
         self._crawl = crawl
+        corpus = fingerprint_token(("crawl", self.seed, len(self.sites)))
+        # The token keeps its original name so the keys of existing
+        # results and telemetry DBs still match.
+        options = fingerprint_token(("script_cache", self.exec_config.cache))
         if self.telemetry is not None:
             self.telemetry.record_run(
-                self.obs, "dynamic",
-                corpus=fingerprint_token(
-                    ("crawl", self.seed, len(self.sites))
-                ),
-                options=fingerprint_token(
-                    ("script_cache", self.exec_config.script_cache)
-                ),
+                self.obs, "dynamic", corpus=corpus, options=options,
                 items=len(crawl.visits), root_span="crawl",
             )
         if self.results_store is not None:
             self.results_store.ingest(
-                crawl,
-                corpus=fingerprint_token(
-                    ("crawl", self.seed, len(self.sites))
-                ),
-                options=fingerprint_token(
-                    ("script_cache", self.exec_config.script_cache)
-                ),
+                crawl, corpus=corpus, options=options,
                 snapshot="seed-%d" % self.seed,
             )
         return crawl

@@ -20,8 +20,7 @@ and the trace tree are byte-identical at any worker count and backend.
 Compiled-script cache accounting follows the same discipline: shards
 always record their ``(script digest, parse cost)`` streams (whether the
 cache is enabled or not) and the parent replays them in selection order,
-so the registry is also byte-identical with ``REPRO_SCRIPT_CACHE`` on or
-off.
+so the registry is also byte-identical with ``REPRO_CACHE`` on or off.
 """
 
 import collections
@@ -174,15 +173,14 @@ class CrawlShard:
 class _ShardSettings:
     """Picklable knobs shipped to every shard invocation."""
 
-    __slots__ = ("sites", "seed", "real_clock", "script_cache",
-                 "adb_log_limit")
+    __slots__ = ("sites", "seed", "real_clock", "cache", "adb_log_limit")
 
-    def __init__(self, sites, seed, real_clock=False, script_cache=True,
+    def __init__(self, sites, seed, real_clock=False, cache=True,
                  adb_log_limit=DEFAULT_ADB_LOG_LIMIT):
         self.sites = sites
         self.seed = seed
         self.real_clock = real_clock
-        self.script_cache = script_cache
+        self.cache = cache
         self.adb_log_limit = adb_log_limit
 
 
@@ -285,7 +283,7 @@ def _run_crawl_shard(settings, shard):
     adb = collections.deque(maxlen=settings.adb_log_limit)
     with use_tracer(tracer), \
             bind_context(stage="crawl", package=app.package), \
-            script_cache_override(settings.script_cache), \
+            script_cache_override(settings.cache), \
             record_script_events(outcome.script_events):
         with tracer.span("crawl_app", app=app.name) as root:
             network = Network(seed=settings.seed, strict=False)
@@ -362,7 +360,7 @@ class AdbCrawler:
         settings = _ShardSettings(
             self.sites, self.seed,
             real_clock=not isinstance(self.obs.clock, TickClock),
-            script_cache=self.exec_config.script_cache,
+            cache=self.exec_config.cache,
             adb_log_limit=self.adb_log_limit,
         )
         return functools.partial(_run_crawl_shard, settings)

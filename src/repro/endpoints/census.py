@@ -349,12 +349,12 @@ class EndpointShard:
 class _EndpointSettings:
     """Picklable knobs shipped to every shard invocation."""
 
-    __slots__ = ("seed", "real_clock", "summary_cache")
+    __slots__ = ("seed", "real_clock", "cache")
 
-    def __init__(self, seed, real_clock=False, summary_cache=True):
+    def __init__(self, seed, real_clock=False, cache=True):
         self.seed = seed
         self.real_clock = real_clock
-        self.summary_cache = summary_cache
+        self.cache = cache
 
 
 class EndpointShardOutcome(TaskOutcome):
@@ -417,9 +417,8 @@ def _run_endpoint_shard(settings, shard):
     """Process-pool entry point: reconstruct one app in a worker."""
     clock = time.perf_counter if settings.real_clock else TickClock()
     tracer = Tracer(clock=clock)
-    summary_cache = (_worker_summaries_cache() if settings.summary_cache
-                     else None)
-    recorder = FactsRecorder() if settings.summary_cache else None
+    summary_cache = _worker_summaries_cache() if settings.cache else None
+    recorder = FactsRecorder() if settings.cache else None
     with use_tracer(tracer), \
             bind_context(stage="endpoints", package=shard.spec.package):
         with tracer.span("endpoints_app",
@@ -584,7 +583,7 @@ class EndpointCensus:
         settings = _EndpointSettings(
             self.seed,
             real_clock=not isinstance(self.obs.clock, TickClock),
-            summary_cache=self.exec_config.endpoint_cache,
+            cache=self.exec_config.cache,
         )
         if self.exec_config.resolved_backend == BACKEND_PROCESS:
             return functools.partial(_run_endpoint_shard, settings)
@@ -592,9 +591,8 @@ class EndpointCensus:
 
     def _inline_shard(self, settings, shard):
         """In-process execution path: trace into the census tracer."""
-        summary_cache = (self.cache.summaries if settings.summary_cache
-                         else None)
-        recorder = FactsRecorder() if settings.summary_cache else None
+        summary_cache = self.cache.summaries if settings.cache else None
+        recorder = FactsRecorder() if settings.cache else None
         with bind_context(package=shard.spec.package), \
                 self.obs.span("endpoints_app",
                               package=shard.spec.package) as span:
@@ -676,7 +674,7 @@ class EndpointStreamPlan(StreamPlan):
         self.census = census
         self.apps = []
         cache = census.cache
-        if census.exec_config.endpoint_cache:
+        if census.exec_config.cache:
             self.digest_cache = cache.summaries
         self.eviction_tiers = {"apk": cache, "summary": cache.summaries}
         super().__init__(census, sinks=progress, apps=len(census.apps))

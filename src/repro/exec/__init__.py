@@ -26,7 +26,7 @@ shard themselves with:
   runs skip whole apps and shared SDK classes are decompiled and parsed
   once per corpus (``REPRO_CACHE_MAX_ENTRIES`` bounds both tiers,
   ``REPRO_CACHE_DIR`` adds an on-disk class-facts layer,
-  ``REPRO_CLASS_CACHE=0`` disables class-level memoization).
+  ``REPRO_CACHE=0`` disables every content-addressed tier).
 - **schedule accounting** (:mod:`repro.exec.schedule`): a deterministic
   event-driven replay of the scheduler's policy over measured task
   costs; the run report's worker attribution, steal count and
@@ -48,6 +48,7 @@ from repro.exec.cache import (
     ClassFactsCache,
     LruStore,
     MAX_ENTRIES_ENV_VAR,
+    PARSED_SCRIPT_KIND,
     env_max_entries,
 )
 from repro.exec.config import (
@@ -55,15 +56,13 @@ from repro.exec.config import (
     BACKEND_ENV_VAR,
     BACKEND_INLINE,
     BACKEND_PROCESS,
+    CACHE_ENV_VAR,
     CHUNK_SIZE_ENV_VAR,
-    CLASS_CACHE_ENV_VAR,
     DEFAULT_MAX_ATTEMPTS,
-    ENDPOINT_CACHE_ENV_VAR,
     ExecConfig,
     ExecConfigError,
     MAX_WORKERS_ENV_VAR,
     RETRIES_ENV_VAR,
-    SCRIPT_CACHE_ENV_VAR,
     WINDOW_ENV_VAR,
 )
 from repro.exec.schedule import (
@@ -90,12 +89,11 @@ __all__ = [
     "BACKEND_INLINE",
     "BACKEND_PROCESS",
     "CACHE_DIR_ENV_VAR",
+    "CACHE_ENV_VAR",
     "CHUNK_SIZE_ENV_VAR",
-    "CLASS_CACHE_ENV_VAR",
     "CLASS_FACTS_KIND",
     "ClassFactsCache",
     "DEFAULT_MAX_ATTEMPTS",
-    "ENDPOINT_CACHE_ENV_VAR",
     "ENDPOINT_SUMMARY_KIND",
     "ExecConfig",
     "ExecConfigError",
@@ -103,8 +101,8 @@ __all__ = [
     "MAX_ENTRIES_ENV_VAR",
     "MAX_WORKERS_ENV_VAR",
     "OrderedFlush",
+    "PARSED_SCRIPT_KIND",
     "RETRIES_ENV_VAR",
-    "SCRIPT_CACHE_ENV_VAR",
     "Schedule",
     "StreamPlan",
     "StreamScheduler",

@@ -17,6 +17,9 @@ on-disk layer (``REPRO_CACHE_DIR``) for warm starts across processes and
 runs; its files follow :mod:`repro.persist` (atomic writes, a corrupt
 file reads as a miss). Facts are options-independent — they are pure
 functions of the class bytes — so the class tier needs no fingerprint.
+The same store holds the endpoint census's propagation summaries and
+the JS engine's parsed scripts, each as its own fact kind;
+``REPRO_CACHE=0`` turns off all three (see :mod:`repro.exec.config`).
 """
 
 import collections
@@ -77,8 +80,8 @@ class _LruStore:
 
 
 #: Public alias: the bounded-LRU primitive is shared with the dynamic
-#: pipeline's compiled-script and site-template caches, which follow the
-#: same ``REPRO_CACHE_MAX_ENTRIES`` convention (:func:`env_max_entries`).
+#: pipeline's site-template cache, which follows the same
+#: ``REPRO_CACHE_MAX_ENTRIES`` convention (:func:`env_max_entries`).
 LruStore = _LruStore
 
 
@@ -94,14 +97,19 @@ CLASS_FACTS_KIND = "cls"
 #: Endpoint string-propagation summaries (:mod:`repro.endpoints.summaries`).
 ENDPOINT_SUMMARY_KIND = "esum"
 
+#: Parsed injected scripts (:mod:`repro.web.jsengine`), keyed by source
+#: digest plus instrumentation mode rather than by class digest.
+PARSED_SCRIPT_KIND = "js"
+
 
 class ClassFactsCache:
     """Content-addressed per-class analysis facts (the lower tier).
 
-    Keys are canonical-encoding digests; values are one *fact kind* —
+    Keys are content digests; values are one *fact kind* —
     :class:`~repro.static_analysis.classfacts.ClassFacts` by default, or
-    any other picklable per-class derivation (endpoint propagation
-    summaries use :data:`ENDPOINT_SUMMARY_KIND`). The in-memory LRU is
+    any other picklable derivation of the content (endpoint propagation
+    summaries use :data:`ENDPOINT_SUMMARY_KIND`, parsed scripts
+    :data:`PARSED_SCRIPT_KIND`). The in-memory LRU is
     backed by an optional on-disk layer: one pickle per digest, written
     with :func:`repro.persist.atomic_write` and read with
     :func:`repro.persist.load_pickle`, promoted back into memory on load.
@@ -204,7 +212,10 @@ class ClassFactsCache:
         return self.hits / total if total else 0.0
 
     def clear(self):
+        """Drop the in-memory entries and reset hit/miss accounting."""
         self._store.clear()
+        self.hits = 0
+        self.misses = 0
 
     def __contains__(self, digest):
         return digest in self._store or (

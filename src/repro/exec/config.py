@@ -4,18 +4,14 @@
 matrix sets the former to exercise the parallel path on every push.
 ``REPRO_EXEC_BACKEND`` can pin a backend explicitly — ``auto`` (the
 default) picks processes only when more than one worker is requested.
-``REPRO_CLASS_CACHE`` toggles the content-addressed class-facts cache
-(on by default); the CI matrix runs a leg with it off to prove results
-are byte-identical either way. ``REPRO_SCRIPT_CACHE`` is the dynamic
-pipeline's analogue: it toggles the compiled-script cache in
-:mod:`repro.web.jsengine` (also on by default, also exercised off in CI).
-``REPRO_ENDPOINT_CACHE`` toggles the endpoint census's propagation-summary
-and outcome reuse (:mod:`repro.endpoints`), following the same
-on-by-default / byte-identical-off contract.
-
-``REPRO_TAINT`` turns on the taint-flow instrumentation in the JS
-evaluator (off by default so uninstrumented runs stay byte-identical;
-see :mod:`repro.impact`).
+``REPRO_CACHE`` (on by default) gates the three content-addressed
+tiers that memoize work shared across apps: the static pipeline's
+class-facts tier (:mod:`repro.exec.cache`), the endpoint census's
+propagation-summary tier (:mod:`repro.endpoints`) and the parsed-script
+tier of :mod:`repro.web.jsengine`. Results, reports and metrics are
+byte-identical either way; the CI matrix runs a leg with it off to prove
+it. It does not gate the per-APK outcome tier or the longitudinal
+``RunStore``, which incremental runs depend on.
 
 ``REPRO_EXEC_WINDOW`` overrides the in-flight chunk window (default
 ``2 * max_workers``) of the streaming scheduler
@@ -28,10 +24,7 @@ import os
 MAX_WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
 CHUNK_SIZE_ENV_VAR = "REPRO_CHUNK_SIZE"
 BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
-CLASS_CACHE_ENV_VAR = "REPRO_CLASS_CACHE"
-SCRIPT_CACHE_ENV_VAR = "REPRO_SCRIPT_CACHE"
-ENDPOINT_CACHE_ENV_VAR = "REPRO_ENDPOINT_CACHE"
-TAINT_ENV_VAR = "REPRO_TAINT"
+CACHE_ENV_VAR = "REPRO_CACHE"
 WINDOW_ENV_VAR = "REPRO_EXEC_WINDOW"
 RETRIES_ENV_VAR = "REPRO_EXEC_RETRIES"
 
@@ -85,24 +78,20 @@ class ExecConfig:
     (``REPRO_EXEC_WINDOW`` / ``window=`` override it). ``max_attempts``
     bounds the :mod:`repro.exec.stream` scheduler's repair retries per
     lost shard. One worker runs in-process; more run on a process pool
-    unless ``backend`` pins one.
+    unless ``backend`` pins one. ``cache`` gates the content-addressed
+    tiers (``REPRO_CACHE``; see the module docstring).
     """
 
     def __init__(self, max_workers=None, chunk_size=None, backend=None,
-                 class_cache=None, script_cache=None, endpoint_cache=None,
-                 window=None, max_attempts=None):
+                 cache=None, window=None, max_attempts=None):
         if max_workers is None:
             max_workers = _env_int(MAX_WORKERS_ENV_VAR, 1)
         if chunk_size is None:
             chunk_size = _env_int(CHUNK_SIZE_ENV_VAR, DEFAULT_CHUNK_SIZE)
         if backend is None:
             backend = os.environ.get(BACKEND_ENV_VAR, BACKEND_AUTO)
-        if class_cache is None:
-            class_cache = _env_flag(CLASS_CACHE_ENV_VAR, True)
-        if script_cache is None:
-            script_cache = _env_flag(SCRIPT_CACHE_ENV_VAR, True)
-        if endpoint_cache is None:
-            endpoint_cache = _env_flag(ENDPOINT_CACHE_ENV_VAR, True)
+        if cache is None:
+            cache = _env_flag(CACHE_ENV_VAR, True)
         if window is None:
             window = _env_int(WINDOW_ENV_VAR, None)
         if max_attempts is None:
@@ -125,9 +114,7 @@ class ExecConfig:
         self.max_workers = int(max_workers)
         self.chunk_size = int(chunk_size)
         self.backend = backend
-        self.class_cache = bool(class_cache)
-        self.script_cache = bool(script_cache)
-        self.endpoint_cache = bool(endpoint_cache)
+        self.cache = bool(cache)
         self._window = int(window) if window is not None else None
         self.max_attempts = int(max_attempts)
 
@@ -153,7 +140,7 @@ class ExecConfig:
         return 2 * self.max_workers
 
     def __repr__(self):
-        return "ExecConfig(workers=%d, chunk=%d, backend=%s, class_cache=%s)" % (
+        return "ExecConfig(workers=%d, chunk=%d, backend=%s, cache=%s)" % (
             self.max_workers, self.chunk_size, self.backend,
-            "on" if self.class_cache else "off",
+            "on" if self.cache else "off",
         )

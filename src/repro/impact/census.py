@@ -34,6 +34,7 @@ from repro.obs import (
     use_tracer,
 )
 from repro.reporting import Table
+from repro.web.jsengine import script_cache_override
 
 #: Impact shards are whole apps, like crawl shards.
 DEFAULT_IMPACT_CHUNK_SIZE = 1
@@ -52,11 +53,12 @@ class ImpactShard:
 class _ImpactSettings:
     """Picklable knobs shipped to every shard invocation."""
 
-    __slots__ = ("seed", "real_clock")
+    __slots__ = ("seed", "real_clock", "cache")
 
-    def __init__(self, seed, real_clock=False):
+    def __init__(self, seed, real_clock=False, cache=True):
         self.seed = seed
         self.real_clock = real_clock
+        self.cache = cache
 
 
 class ImpactShardOutcome(TaskOutcome):
@@ -76,14 +78,16 @@ def _run_impact_shard(settings, shard):
 
     Identical inline and in a worker process: fresh tracer, fresh
     deterministic TickClock (unless a real clock was injected), fresh
-    simulated device per app.
+    simulated device per app, and the parsed-script cache switched by
+    ``settings.cache``, as in the crawl shard.
     """
     app = shard.app
     clock = time.perf_counter if settings.real_clock else TickClock()
     tracer = Tracer(clock=clock)
     outcome = ImpactShardOutcome(shard.position, app.package)
     with use_tracer(tracer), \
-            bind_context(stage="impact", package=app.package):
+            bind_context(stage="impact", package=app.package), \
+            script_cache_override(settings.cache):
         with tracer.span("impact_app", app=app.name) as root:
             outcome.record = probe_app(app, seed=settings.seed,
                                        tracer=tracer)
@@ -218,6 +222,7 @@ class ImpactCensus:
         settings = _ImpactSettings(
             self.seed,
             real_clock=not isinstance(self.obs.clock, TickClock),
+            cache=self.exec_config.cache,
         )
         return functools.partial(_run_impact_shard, settings)
 

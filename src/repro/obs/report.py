@@ -2,9 +2,10 @@
 
 :func:`render_run_report` turns one study's :class:`~repro.obs.Obs`
 bundle into the report the benchmarks print next to their
-paper-vs-measured blocks: throughput, the drop taxonomy, and per-stage
-time shares. Tables go through :mod:`repro.reporting` so the output
-matches every other artifact the repo renders.
+paper-vs-measured blocks: throughput, one table per subsystem that ran
+(declared as rows in :data:`SECTIONS`), the drop taxonomy, and
+per-stage time shares. Tables go through :mod:`repro.reporting` so the
+output matches every other artifact the repo renders.
 """
 
 from repro.reporting import Table
@@ -96,6 +97,94 @@ LONGITUDINAL_CHECKPOINT_FLUSHES_METRIC = (
 )
 
 
+#: The per-subsystem sections of a run report, in render order:
+#: ``(title, gate metric, rows)``. A section renders when its gate
+#: metric has a sample (it is registered and, if labelled, has a
+#: series). Each row is ``(kind, label, metric)`` and renders per kind:
+#:
+#: - ``"int"`` / ``"secs"``: the metric's value, summed over its series,
+#:   as an integer or as ``%.3f`` clock seconds, when it is registered;
+#: - ``"each"``: one integer row per series, labelled ``label % value``;
+#: - ``"total"`` / ``"count"`` / ``"join"``: the sum, the number or the
+#:   ``/``-joined label values of a labelled metric's series, when it
+#:   has any;
+#: - ``"rate"``: ``a / (a + b)`` as a percentage, for ``metric = (a, b)``,
+#:   when ``a + b`` is nonzero;
+#: - ``"speedup"``: ``a / b`` as ``%.2fx``, for ``metric = (a, b)``, when
+#:   ``b`` is nonzero;
+#: - ``"except"``: the percentage of a labelled metric's total outside
+#:   one series, for ``metric = (name, label value)``.
+#:
+#: A new subsystem adds a section here, not a rendering function.
+SECTIONS = (
+    ("Execution", EXEC_WORKERS_METRIC, (
+        ("join", "backend", EXEC_BACKEND_METRIC),
+        ("int", "workers", EXEC_WORKERS_METRIC),
+        ("int", "chunk size", EXEC_CHUNK_SIZE_METRIC),
+        ("each", "tasks %s", EXEC_TASKS_METRIC),
+        ("int", "cache hits", EXEC_CACHE_HITS_METRIC),
+        ("int", "cache misses", EXEC_CACHE_MISSES_METRIC),
+        ("int", "class-cache hits", EXEC_CLASS_CACHE_HITS_METRIC),
+        ("int", "class-cache misses", EXEC_CLASS_CACHE_MISSES_METRIC),
+        ("rate", "class-cache hit rate",
+         (EXEC_CLASS_CACHE_HITS_METRIC, EXEC_CLASS_CACHE_MISSES_METRIC)),
+        ("int", "class bytes deduplicated", EXEC_CLASS_BYTES_DEDUPED_METRIC),
+        ("secs", "class time saved (clock s)", EXEC_CLASS_TIME_SAVED_METRIC),
+        ("each", "%s-cache evictions", EXEC_CACHE_EVICTIONS_METRIC),
+        ("int", "queue depth peak", EXEC_QUEUE_DEPTH_METRIC),
+        ("int", "work steals", EXEC_STEALS_METRIC),
+        ("int", "chunks repaired", EXEC_CHUNKS_REPAIRED_METRIC),
+        ("int", "tasks quarantined", EXEC_TASKS_QUARANTINED_METRIC),
+        ("secs", "worker busy (clock s)", EXEC_WORKER_BUSY_METRIC),
+        ("secs", "critical path (clock s)", EXEC_CRITICAL_PATH_METRIC),
+        ("speedup", "parallel speedup",
+         (EXEC_WORKER_BUSY_METRIC, EXEC_CRITICAL_PATH_METRIC)),
+    )),
+    ("Dynamic execution", CRAWL_VISITS_METRIC, (
+        ("total", "visits", CRAWL_VISITS_METRIC),
+        ("count", "apps crawled", CRAWL_VISITS_METRIC),
+        ("total", "netlog events", CRAWL_NETLOG_EVENTS_METRIC),
+        ("int", "script-cache hits", SCRIPT_CACHE_HITS_METRIC),
+        ("int", "script-cache misses", SCRIPT_CACHE_MISSES_METRIC),
+        ("rate", "script-cache hit rate",
+         (SCRIPT_CACHE_HITS_METRIC, SCRIPT_CACHE_MISSES_METRIC)),
+        ("secs", "script parse time saved (clock s)",
+         SCRIPT_CACHE_TIME_SAVED_METRIC),
+    )),
+    ("Injection impact", IMPACT_APPS_METRIC, (
+        ("total", "apps probed", IMPACT_APPS_METRIC),
+        ("each", "apps %s", IMPACT_APPS_METRIC),
+        ("int", "bridges probed", IMPACT_BRIDGES_METRIC),
+        ("each", "findings %s", IMPACT_FINDINGS_METRIC),
+        ("int", "taint flows observed", IMPACT_FLOWS_METRIC),
+        ("int", "cleartext visits", IMPACT_CLEARTEXT_METRIC),
+    )),
+    ("Static endpoints", ENDPOINTS_APPS_METRIC, (
+        ("int", "apps reconstructed", ENDPOINTS_APPS_METRIC),
+        ("each", "endpoints %s", ENDPOINTS_FOUND_METRIC),
+        ("int", "cleartext endpoints", ENDPOINTS_CLEARTEXT_METRIC),
+        ("int", "credentialed endpoints", ENDPOINTS_CREDENTIALS_METRIC),
+        ("int", "summary cache hits", ENDPOINTS_SUMMARY_CACHE_HITS_METRIC),
+        ("int", "summary cache misses",
+         ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC),
+        ("rate", "summary hit rate",
+         (ENDPOINTS_SUMMARY_CACHE_HITS_METRIC,
+          ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC)),
+        ("secs", "summary time saved (clock s)",
+         ENDPOINTS_SUMMARY_TIME_SAVED_METRIC),
+        ("int", "summary bytes deduplicated",
+         ENDPOINTS_SUMMARY_BYTES_DEDUPED_METRIC),
+    )),
+    ("Longitudinal", LONGITUDINAL_APPS_METRIC, (
+        ("each", "runs %s", LONGITUDINAL_RUNS_METRIC),
+        ("each", "apps %s", LONGITUDINAL_APPS_METRIC),
+        ("except", "work avoided", (LONGITUDINAL_APPS_METRIC, "fresh")),
+        ("each", "index delta %s", LONGITUDINAL_DELTA_METRIC),
+        ("int", "checkpoint flushes", LONGITUDINAL_CHECKPOINT_FLUSHES_METRIC),
+    )),
+)
+
+
 def elapsed_for(tracer, root_span):
     """Total duration of every span named ``root_span`` in the forest."""
     return sum(
@@ -112,32 +201,14 @@ def render_run_report(obs, title, items_label="apps", items_count=0,
     clock was injected, deterministic ticks otherwise (the report labels
     them "clock s" either way; see DESIGN.md §Observability).
     """
-    sections = [_throughput_table(obs, items_label, items_count, root_span)]
-    execution = _exec_table(obs)
-    if execution is not None:
-        sections.append(execution)
-    dynamic = _dynamic_table(obs)
-    if dynamic is not None:
-        sections.append(dynamic)
-    impact = _impact_table(obs)
-    if impact is not None:
-        sections.append(impact)
-    endpoints = _endpoints_table(obs)
-    if endpoints is not None:
-        sections.append(endpoints)
-    longitudinal = _longitudinal_table(obs)
-    if longitudinal is not None:
-        sections.append(longitudinal)
-    drops = _drop_table(obs, drop_metric)
-    if drops is not None:
-        sections.append(drops)
-    stages = _stage_table(obs, elapsed_for(obs.tracer, root_span))
-    if stages is not None:
-        sections.append(stages)
-    profiled = _profile_table(obs)
-    if profiled is not None:
-        sections.append(profiled)
-    rendered = "\n\n".join(table_to_markdown(table) for table in sections)
+    tables = [_throughput_table(obs, items_label, items_count, root_span)]
+    for section in SECTIONS:
+        tables.append(_section_table(obs.registry, *section))
+    tables.append(_drop_table(obs, drop_metric))
+    tables.append(_stage_table(obs, elapsed_for(obs.tracer, root_span)))
+    tables.append(_profile_table(obs))
+    rendered = "\n\n".join(table_to_markdown(table) for table in tables
+                            if table is not None)
     return "**%s**\n\n%s" % (title, rendered)
 
 
@@ -150,188 +221,66 @@ def _throughput_table(obs, items_label, items_count, root_span):
     table.add_row("%s/sec" % items_label, "%.1f" % rate)
     return table
 
-def _exec_table(obs):
-    """Execution-layer summary, rendered only for sharded runs."""
-    registry = obs.registry
-    if registry.get(EXEC_WORKERS_METRIC) is None:
+
+def _total(registry, name):
+    """A metric's value summed over its series, or None if unregistered."""
+    metric = registry.get(name)
+    if metric is None:
         return None
-    table = Table(["metric", "value"], title="Execution")
-    backends = registry.label_values(EXEC_BACKEND_METRIC)
-    if backends:
-        table.add_row("backend", "/".join(labels[0] for labels in backends))
-    table.add_row("workers", int(registry.value(EXEC_WORKERS_METRIC)))
-    table.add_row("chunk size", int(registry.value(EXEC_CHUNK_SIZE_METRIC)))
-    for (status,), count in sorted(
-        registry.label_values(EXEC_TASKS_METRIC).items()
-    ):
-        table.add_row("tasks %s" % status, int(count))
-    if registry.get(EXEC_CACHE_HITS_METRIC) is not None:
-        table.add_row("cache hits",
-                      int(registry.value(EXEC_CACHE_HITS_METRIC)))
-        table.add_row("cache misses",
-                      int(registry.value(EXEC_CACHE_MISSES_METRIC)))
-    if registry.get(EXEC_CLASS_CACHE_HITS_METRIC) is not None:
-        hits = registry.value(EXEC_CLASS_CACHE_HITS_METRIC)
-        misses = registry.value(EXEC_CLASS_CACHE_MISSES_METRIC)
-        table.add_row("class-cache hits", int(hits))
-        table.add_row("class-cache misses", int(misses))
-        if hits + misses:
-            table.add_row("class-cache hit rate",
-                          "%.1f%%" % (100.0 * hits / (hits + misses)))
-        table.add_row("class bytes deduplicated",
-                      int(registry.value(EXEC_CLASS_BYTES_DEDUPED_METRIC)))
-        table.add_row("class time saved (clock s)", "%.3f"
-                      % registry.value(EXEC_CLASS_TIME_SAVED_METRIC))
-    for (tier,), count in sorted(
-        registry.label_values(EXEC_CACHE_EVICTIONS_METRIC).items()
-    ):
-        table.add_row("%s-cache evictions" % tier, int(count))
-    table.add_row("queue depth peak",
-                  int(registry.value(EXEC_QUEUE_DEPTH_METRIC)))
-    if registry.get(EXEC_STEALS_METRIC) is not None:
-        table.add_row("work steals", int(registry.value(EXEC_STEALS_METRIC)))
-    if registry.get(EXEC_CHUNKS_REPAIRED_METRIC) is not None:
-        table.add_row("chunks repaired",
-                      int(registry.value(EXEC_CHUNKS_REPAIRED_METRIC)))
-    if registry.get(EXEC_TASKS_QUARANTINED_METRIC) is not None:
-        table.add_row(
-            "tasks quarantined",
-            int(registry.value(EXEC_TASKS_QUARANTINED_METRIC)),
-        )
-    busy = sum(registry.label_values(EXEC_WORKER_BUSY_METRIC).values())
-    critical = registry.value(EXEC_CRITICAL_PATH_METRIC)
-    table.add_row("worker busy (clock s)", "%.3f" % busy)
-    table.add_row("critical path (clock s)", "%.3f" % critical)
-    if critical:
-        table.add_row("parallel speedup", "%.2fx" % (busy / critical))
+    if metric.labelnames:
+        return sum(registry.label_values(name).values())
+    return registry.value(name)
+
+
+def _section_table(registry, title, gate, rows):
+    """One :data:`SECTIONS` entry as a table, or None when not sampled."""
+    metric = registry.get(gate)
+    if metric is None or (metric.labelnames
+                          and not registry.label_values(gate)):
+        return None
+    table = Table(["metric", "value"], title=title)
+    for kind, label, name in rows:
+        for cells in _row_cells(registry, kind, label, name):
+            table.add_row(*cells)
     return table
 
 
-def _dynamic_table(obs):
-    """Dynamic-pipeline summary, rendered only for crawl runs."""
-    registry = obs.registry
-    visits = registry.label_values(CRAWL_VISITS_METRIC)
-    if not visits:
-        return None
-    table = Table(["metric", "value"], title="Dynamic execution")
-    table.add_row("visits", int(sum(visits.values())))
-    table.add_row("apps crawled", len(visits))
-    events = registry.label_values(CRAWL_NETLOG_EVENTS_METRIC)
-    if events:
-        table.add_row("netlog events", int(sum(events.values())))
-    if registry.get(SCRIPT_CACHE_HITS_METRIC) is not None:
-        hits = registry.value(SCRIPT_CACHE_HITS_METRIC)
-        misses = registry.value(SCRIPT_CACHE_MISSES_METRIC)
-        table.add_row("script-cache hits", int(hits))
-        table.add_row("script-cache misses", int(misses))
-        if hits + misses:
-            table.add_row("script-cache hit rate",
-                          "%.1f%%" % (100.0 * hits / (hits + misses)))
-        table.add_row(
-            "script parse time saved (clock s)",
-            "%.3f" % registry.value(SCRIPT_CACHE_TIME_SAVED_METRIC),
-        )
-    return table
-
-
-def _impact_table(obs):
-    """Injection-impact summary, rendered only for impact census runs."""
-    registry = obs.registry
-    apps = registry.label_values(IMPACT_APPS_METRIC)
-    if not apps:
-        return None
-    table = Table(["metric", "value"], title="Injection impact")
-    table.add_row("apps probed", int(sum(apps.values())))
-    for (kind,), count in sorted(apps.items()):
-        table.add_row("apps %s" % kind, int(count))
-    if registry.get(IMPACT_BRIDGES_METRIC) is not None:
-        table.add_row("bridges probed",
-                      int(registry.value(IMPACT_BRIDGES_METRIC)))
-    for (severity,), count in sorted(
-        registry.label_values(IMPACT_FINDINGS_METRIC).items()
-    ):
-        table.add_row("findings %s" % severity, int(count))
-    if registry.get(IMPACT_FLOWS_METRIC) is not None:
-        table.add_row("taint flows observed",
-                      int(registry.value(IMPACT_FLOWS_METRIC)))
-    if registry.get(IMPACT_CLEARTEXT_METRIC) is not None:
-        table.add_row("cleartext visits",
-                      int(registry.value(IMPACT_CLEARTEXT_METRIC)))
-    return table
-
-
-def _endpoints_table(obs):
-    """Static-endpoint summary, rendered only for endpoint census runs."""
-    registry = obs.registry
-    if registry.get(ENDPOINTS_APPS_METRIC) is None:
-        return None
-    table = Table(["metric", "value"], title="Static endpoints")
-    table.add_row("apps reconstructed",
-                  int(registry.value(ENDPOINTS_APPS_METRIC)))
-    for (kind,), count in sorted(
-        registry.label_values(ENDPOINTS_FOUND_METRIC).items()
-    ):
-        table.add_row("endpoints %s" % kind, int(count))
-    if registry.get(ENDPOINTS_CLEARTEXT_METRIC) is not None:
-        table.add_row("cleartext endpoints",
-                      int(registry.value(ENDPOINTS_CLEARTEXT_METRIC)))
-    if registry.get(ENDPOINTS_CREDENTIALS_METRIC) is not None:
-        table.add_row("credentialed endpoints",
-                      int(registry.value(ENDPOINTS_CREDENTIALS_METRIC)))
-    hits = registry.get(ENDPOINTS_SUMMARY_CACHE_HITS_METRIC)
-    misses = registry.get(ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC)
-    if hits is not None or misses is not None:
-        hit_count = int(registry.value(ENDPOINTS_SUMMARY_CACHE_HITS_METRIC)
-                        ) if hits is not None else 0
-        miss_count = int(registry.value(
-            ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC)) if misses is not None else 0
-        table.add_row("summary cache hits", hit_count)
-        table.add_row("summary cache misses", miss_count)
-        total = hit_count + miss_count
-        if total:
-            table.add_row("summary hit rate",
-                          "%.1f%%" % (100.0 * hit_count / total))
-    if registry.get(ENDPOINTS_SUMMARY_TIME_SAVED_METRIC) is not None:
-        table.add_row(
-            "summary time saved (clock s)",
-            "%.3f" % registry.value(ENDPOINTS_SUMMARY_TIME_SAVED_METRIC),
-        )
-    if registry.get(ENDPOINTS_SUMMARY_BYTES_DEDUPED_METRIC) is not None:
-        table.add_row(
-            "summary bytes deduplicated",
-            int(registry.value(ENDPOINTS_SUMMARY_BYTES_DEDUPED_METRIC)),
-        )
-    return table
-
-
-def _longitudinal_table(obs):
-    """Incremental-engine summary, rendered only for longitudinal runs."""
-    registry = obs.registry
-    modes = registry.label_values(LONGITUDINAL_APPS_METRIC)
-    if not modes:
-        return None
-    table = Table(["metric", "value"], title="Longitudinal")
-    for (mode,), count in sorted(
-        registry.label_values(LONGITUDINAL_RUNS_METRIC).items()
-    ):
-        table.add_row("runs %s" % mode, int(count))
-    total = sum(modes.values())
-    for (mode,), count in sorted(modes.items()):
-        table.add_row("apps %s" % mode, int(count))
-    fresh = modes.get(("fresh",), 0)
-    if total:
-        table.add_row("work avoided",
-                      "%.1f%%" % (100.0 * (total - fresh) / total))
-    for (change,), count in sorted(
-        registry.label_values(LONGITUDINAL_DELTA_METRIC).items()
-    ):
-        table.add_row("index delta %s" % change, int(count))
-    if registry.get(LONGITUDINAL_CHECKPOINT_FLUSHES_METRIC) is not None:
-        table.add_row(
-            "checkpoint flushes",
-            int(registry.value(LONGITUDINAL_CHECKPOINT_FLUSHES_METRIC)),
-        )
-    return table
+def _row_cells(registry, kind, label, name):
+    """The ``(label, value)`` rows one section row renders."""
+    if kind == "each":
+        return [(label % labels[0], int(count))
+                for labels, count in registry.label_values(name).items()]
+    if kind in ("total", "count", "join"):
+        series = registry.label_values(name)
+        if not series:
+            return []
+        if kind == "total":
+            return [(label, int(sum(series.values())))]
+        if kind == "count":
+            return [(label, len(series))]
+        return [(label, "/".join(labels[0] for labels in series))]
+    if kind == "except":
+        name, excluded = name
+        series = registry.label_values(name)
+        total = sum(series.values())
+        if not total:
+            return []
+        kept = total - series.get((excluded,), 0)
+        return [(label, "%.1f%%" % (100.0 * kept / total))]
+    if kind == "rate":
+        hits, misses = (_total(registry, metric) or 0 for metric in name)
+        if not hits + misses:
+            return []
+        return [(label, "%.1f%%" % (100.0 * hits / (hits + misses)))]
+    if kind == "speedup":
+        work, span = (_total(registry, metric) or 0 for metric in name)
+        if not span:
+            return []
+        return [(label, "%.2fx" % (work / span))]
+    value = _total(registry, name)
+    if value is None:
+        return []
+    return [(label, int(value) if kind == "int" else "%.3f" % value)]
 
 
 def _drop_table(obs, drop_metric):

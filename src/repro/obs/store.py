@@ -35,6 +35,7 @@ thresholds against its baseline window — CI wires it in as a soft gate.
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -46,6 +47,9 @@ from repro.persist import SqliteStore, env_path
 
 #: Environment variable naming the telemetry database file.
 OBS_DB_ENV_VAR = "REPRO_OBS_DB"
+
+#: The ``repro`` package directory, whose files decide a ``-dirty`` stamp.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Bumped on any schema change; :mod:`repro.persist` upgrades older files.
 SCHEMA_VERSION = 1
@@ -94,17 +98,30 @@ def env_db_path():
 
 
 def git_describe(cwd=None):
-    """``git describe --always --dirty`` of the working tree, or ''."""
+    """``git describe --always`` of the code's checkout, or ''.
+
+    ``cwd`` defaults to the ``repro`` package directory. The stamp gets
+    ``-dirty`` only when files under ``cwd`` differ from HEAD, so edits
+    elsewhere in the checkout (docs, benchmark payloads) do not mark
+    the code that produced a run as modified.
+    """
+    if cwd is None:
+        cwd = _PACKAGE_DIR
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
+        described = subprocess.run(
+            ["git", "describe", "--always"],
+            cwd=cwd, capture_output=True, timeout=10,
+        )
+        if described.returncode != 0:
+            return ""
+        changed = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--", "."],
             cwd=cwd, capture_output=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
         return ""
-    if out.returncode != 0:
-        return ""
-    return out.stdout.decode("utf-8", "replace").strip()
+    stamp = described.stdout.decode("utf-8", "replace").strip()
+    return stamp + "-dirty" if changed.returncode == 1 else stamp
 
 
 class TelemetryStore(SqliteStore):

@@ -259,12 +259,12 @@ _CachedEntry = OutcomeRecord
 class _WorkerSettings:
     """Picklable knobs shipped to every worker invocation."""
 
-    __slots__ = ("options", "real_clock", "class_cache")
+    __slots__ = ("options", "real_clock", "cache")
 
-    def __init__(self, options, real_clock=False, class_cache=True):
+    def __init__(self, options, real_clock=False, cache=True):
         self.options = options
         self.real_clock = real_clock
-        self.class_cache = class_cache
+        self.cache = cache
 
 
 def _execute_analysis(options, task, decompiler=None, facts_cache=None,
@@ -325,8 +325,8 @@ def _run_analysis_task(settings, task):
     """
     clock = time.perf_counter if settings.real_clock else TickClock()
     tracer = Tracer(clock=clock)
-    facts_cache = _worker_facts_cache() if settings.class_cache else None
-    recorder = FactsRecorder() if settings.class_cache else None
+    facts_cache = _worker_facts_cache() if settings.cache else None
+    recorder = FactsRecorder() if settings.cache else None
     with use_tracer(tracer), bind_context(package=task.package):
         with tracer.span("analyze_app", package=task.package) as root:
             outcome = _execute_analysis(settings.options, task,
@@ -518,7 +518,7 @@ class StaticAnalysisPipeline:
         settings = _WorkerSettings(
             self.options,
             real_clock=not isinstance(self.obs.clock, TickClock),
-            class_cache=self.exec_config.class_cache,
+            cache=self.exec_config.cache,
         )
         if self.exec_config.resolved_backend == BACKEND_PROCESS:
             return functools.partial(_run_analysis_task, settings)
@@ -526,8 +526,8 @@ class StaticAnalysisPipeline:
 
     def _inline_task(self, settings, task):
         """In-process execution path: trace into the study tracer."""
-        facts_cache = self.cache.classes if settings.class_cache else None
-        recorder = FactsRecorder() if settings.class_cache else None
+        facts_cache = self.cache.classes if settings.cache else None
+        recorder = FactsRecorder() if settings.cache else None
         with bind_context(package=task.package), \
                 self.obs.span("analyze_app", package=task.package) as span:
             outcome = _execute_analysis(settings.options, task,
@@ -601,7 +601,7 @@ class PipelineStreamPlan(StreamPlan):
         self.progress = progress
         self.fingerprint = pipeline.options.cache_key()
         cache = pipeline.cache
-        if pipeline.exec_config.class_cache:
+        if pipeline.exec_config.cache:
             self.digest_cache = cache.classes
         self.eviction_tiers = {"apk": cache, "class": cache.classes}
         super().__init__(

@@ -9,7 +9,6 @@ from repro.web.htmlparser import parse_html
 from repro.web.webapi import WebApiRecorder
 from repro.web.jsengine import (
     JsInterpreter,
-    ScriptCache,
     default_script_cache,
     parse_js,
     record_script_events,
@@ -31,7 +30,6 @@ __all__ = [
     "parse_html",
     "WebApiRecorder",
     "JsInterpreter",
-    "ScriptCache",
     "default_script_cache",
     "parse_js",
     "record_script_events",

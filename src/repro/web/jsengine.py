@@ -16,22 +16,22 @@ Values map to Python: ``null`` -> None, numbers -> float, plus the
 :data:`UNDEFINED` sentinel. Bitwise operators coerce through int32 like JS.
 
 Parsing is memoized corpus-wide: the same ~dozen injected scripts are
-evaluated against every one of the 100 crawled sites, so
-:class:`ScriptCache` keys tokenize+parse output on the script's SHA-256
-and hands the (read-only) AST back to each execution. Interpreter state
-stays strictly per-execution. ``REPRO_SCRIPT_CACHE=0`` disables the
-cache; ``REPRO_CACHE_MAX_ENTRIES`` bounds it, following the conventions
-of the static pipeline's class-facts cache.
+evaluated against every one of the 100 crawled sites, so the
+process-wide :func:`default_script_cache` keys tokenize+parse output on
+the script's SHA-256 and hands the (read-only) AST back to each
+execution. Interpreter state stays strictly per-execution. The cache is
+a :class:`~repro.exec.ClassFactsCache` of kind ``"js"``, so it shares
+the class-facts cache's LRU bound, disk layer and corrupt-file rule;
+``REPRO_CACHE=0`` disables it.
 """
 
 import contextlib
 import contextvars
 import hashlib
-import time
 
 from repro.errors import JsRuntimeError, JsSyntaxError
-from repro.exec.cache import LruStore, env_max_entries
-from repro.exec.config import SCRIPT_CACHE_ENV_VAR, TAINT_ENV_VAR, _env_flag
+from repro.exec.cache import PARSED_SCRIPT_KIND, ClassFactsCache
+from repro.exec.config import CACHE_ENV_VAR, _env_flag
 from repro.obs.tracing import current_tracer
 
 
@@ -586,85 +586,6 @@ def script_digest(source):
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-class _ScriptEntry:
-    """One cached program: the parsed AST plus its measured parse cost."""
-
-    __slots__ = ("program", "cost_s")
-
-    def __init__(self, program, cost_s):
-        self.program = program
-        self.cost_s = cost_s
-
-
-class ScriptCache:
-    """Corpus-wide memo of tokenize+parse output, keyed on script SHA-256.
-
-    The AST is a nested tuple tree the interpreter never mutates, so one
-    parse can back every execution of the same script across apps and
-    sites. Only parsing is shared — scopes, globals, and all other
-    interpreter state stay per-execution. Bounded by
-    ``REPRO_CACHE_MAX_ENTRIES`` (unbounded by default) with eviction
-    accounting, like the static pipeline's class-facts cache.
-    """
-
-    def __init__(self, max_entries=None):
-        if max_entries is None:
-            max_entries = env_max_entries()
-        self._store = LruStore(max_entries)
-        self.hits = 0
-        self.misses = 0
-        self.time_saved_s = 0.0
-
-    def lookup(self, digest):
-        """The cached entry for a digest, or None (no accounting)."""
-        return self._store.get(digest)
-
-    def store(self, digest, program, cost_s):
-        self._store.put(digest, _ScriptEntry(program, cost_s))
-
-    def parse(self, source):
-        """Parse through the cache, with hit/miss/time-saved accounting.
-
-        Convenience entry point for benchmarks and tests; the
-        interpreter's hot path (:func:`_parse_for_run`) shares the store
-        but takes its timings from the ambient tracer clock instead.
-        """
-        digest = script_digest(source)
-        entry = self.lookup(digest)
-        if entry is not None:
-            self.hits += 1
-            self.time_saved_s += entry.cost_s
-            return entry.program
-        started = time.perf_counter()
-        program = parse_js(source)
-        self.store(digest, program, time.perf_counter() - started)
-        self.misses += 1
-        return program
-
-    @property
-    def evictions(self):
-        return self._store.evictions
-
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self):
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.time_saved_s = 0.0
-
-    def __len__(self):
-        return len(self._store)
-
-    def __repr__(self):
-        return "ScriptCache(%d scripts, %d hits, %d misses)" % (
-            len(self._store), self.hits, self.misses
-        )
-
-
 _DEFAULT_SCRIPT_CACHE = None
 
 _SCRIPT_EVENTS = contextvars.ContextVar("repro_script_events", default=None)
@@ -674,10 +595,13 @@ _SCRIPT_CACHE_OVERRIDE = contextvars.ContextVar(
 
 
 def default_script_cache():
-    """The process-wide script cache (created lazily)."""
+    """The process-wide parsed-script cache (created lazily).
+
+    Keyed by :func:`script_cache_key`; values are parsed programs.
+    """
     global _DEFAULT_SCRIPT_CACHE
     if _DEFAULT_SCRIPT_CACHE is None:
-        _DEFAULT_SCRIPT_CACHE = ScriptCache()
+        _DEFAULT_SCRIPT_CACHE = ClassFactsCache(kind=PARSED_SCRIPT_KIND)
     return _DEFAULT_SCRIPT_CACHE
 
 
@@ -700,8 +624,8 @@ def record_script_events(events):
 def script_cache_override(enabled):
     """Force the cache on/off for the enclosed block, overriding the env.
 
-    The crawler uses this to propagate ``ExecConfig.script_cache`` into
-    worker shards independently of ``REPRO_SCRIPT_CACHE``.
+    The crawl and impact shards use this to apply ``ExecConfig.cache``
+    in workers independently of ``REPRO_CACHE``.
     """
     token = _SCRIPT_CACHE_OVERRIDE.set(bool(enabled))
     try:
@@ -714,7 +638,7 @@ def _cache_enabled():
     override = _SCRIPT_CACHE_OVERRIDE.get()
     if override is not None:
         return override
-    return _env_flag(SCRIPT_CACHE_ENV_VAR, True)
+    return _env_flag(CACHE_ENV_VAR, True)
 
 
 def script_cache_key(digest, taint):
@@ -738,17 +662,12 @@ def _parse_for_run(source):
     clock = current_tracer().clock
     key = script_cache_key(script_digest(source), taint_enabled())
     cache = default_script_cache() if _cache_enabled() else None
-    entry = cache.lookup(key) if cache is not None else None
+    cached = cache.get(key) if cache is not None else None
     started = clock()
-    program = entry.program if entry is not None else parse_js(source)
+    program = cached if cached is not None else parse_js(source)
     elapsed = clock() - started
-    if cache is not None:
-        if entry is not None:
-            cache.hits += 1
-            cache.time_saved_s += entry.cost_s
-        else:
-            cache.store(key, program, elapsed)
-            cache.misses += 1
+    if cache is not None and cached is None:
+        cache.put(key, program)
     events = _SCRIPT_EVENTS.get()
     if events is not None:
         events.append((key, elapsed))
@@ -768,8 +687,8 @@ def _parse_for_run(source):
 # base type. Propagation happens at the ``+`` operator — the string
 # concatenation every exfiltration payload is assembled with — plus the
 # ``JSON.stringify``/``encodeURIComponent`` builtins, and is gated on a
-# per-interpreter flag resolved from ``REPRO_TAINT`` so uninstrumented
-# runs execute the exact same code paths as before.
+# per-interpreter flag resolved from :func:`taint_override` so
+# uninstrumented runs execute the exact same code paths as before.
 
 class TaintedStr(str):
     """A string carrying taint labels; behaves exactly like ``str``."""
@@ -837,24 +756,22 @@ def _collect_taint_labels(value, _depth=0):
     return labels
 
 
-_TAINT_OVERRIDE = contextvars.ContextVar("repro_taint_override", default=None)
+_TAINT_OVERRIDE = contextvars.ContextVar("repro_taint_override",
+                                         default=False)
 _TAINT_FLOWS = contextvars.ContextVar("repro_taint_flows", default=None)
 
 
 def taint_enabled():
-    """Whether taint instrumentation is active (override, else env)."""
-    override = _TAINT_OVERRIDE.get()
-    if override is not None:
-        return override
-    return _env_flag(TAINT_ENV_VAR, False)
+    """Whether taint instrumentation is active (off unless overridden)."""
+    return _TAINT_OVERRIDE.get()
 
 
 @contextlib.contextmanager
 def taint_override(enabled):
     """Force taint instrumentation on/off for the enclosed block.
 
-    The impact probes use this to instrument a single attacker replay
-    without flipping ``REPRO_TAINT`` for the whole process.
+    The impact probes use this to instrument a single attacker replay;
+    every other run executes uninstrumented.
     """
     token = _TAINT_OVERRIDE.set(bool(enabled))
     try:

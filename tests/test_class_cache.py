@@ -18,7 +18,7 @@ from repro.dex import ClassBuilder, class_digest, serialize_class
 from repro.exec import (
     AnalysisCache,
     CACHE_DIR_ENV_VAR,
-    CLASS_CACHE_ENV_VAR,
+    CACHE_ENV_VAR,
     ClassFactsCache,
     ExecConfig,
     ExecConfigError,
@@ -47,7 +47,7 @@ def _study(class_cache, backend, workers, universe=UNIVERSE, cache=None):
     corpus = generate_corpus(CorpusConfig(seed=11, universe_size=universe))
     obs = Obs()
     config = ExecConfig(max_workers=workers, backend=backend,
-                        class_cache=class_cache)
+                        cache=class_cache)
     pipeline = StaticAnalysisPipeline(corpus, obs=obs, exec_config=config,
                                       cache=cache)
     result = pipeline.run()
@@ -177,7 +177,7 @@ class TestLruEviction:
         pipeline = StaticAnalysisPipeline(
             corpus, obs=obs,
             exec_config=ExecConfig(max_workers=1, backend="inline",
-                                   class_cache=True),
+                                   cache=True),
             cache=AnalysisCache(max_entries=3),
         )
         pipeline.run()
@@ -225,26 +225,26 @@ class TestDiskLayer:
 
 class TestClassCacheFlag:
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(CLASS_CACHE_ENV_VAR, raising=False)
-        assert ExecConfig().class_cache is True
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        assert ExecConfig().cache is True
 
     @pytest.mark.parametrize("raw,expected", [
         ("0", False), ("false", False), ("no", False), ("off", False),
         ("1", True), ("true", True), ("yes", True), ("on", True),
     ])
     def test_env_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(CLASS_CACHE_ENV_VAR, raw)
-        assert ExecConfig().class_cache is expected
+        monkeypatch.setenv(CACHE_ENV_VAR, raw)
+        assert ExecConfig().cache is expected
 
     def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(CLASS_CACHE_ENV_VAR, "0")
-        assert ExecConfig(class_cache=True).class_cache is True
+        monkeypatch.setenv(CACHE_ENV_VAR, "0")
+        assert ExecConfig(cache=True).cache is True
 
     def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(CLASS_CACHE_ENV_VAR, "maybe")
+        monkeypatch.setenv(CACHE_ENV_VAR, "maybe")
         with pytest.raises(ExecConfigError):
             ExecConfig()
 
     def test_repr_shows_state(self):
-        assert "class_cache=on" in repr(ExecConfig(class_cache=True))
-        assert "class_cache=off" in repr(ExecConfig(class_cache=False))
+        assert "cache=on" in repr(ExecConfig(cache=True))
+        assert "cache=off" in repr(ExecConfig(cache=False))

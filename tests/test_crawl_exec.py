@@ -9,17 +9,25 @@ and script-cache setting (DESIGN.md §Dynamic throughput).
 import pytest
 
 import repro.dynamic.crawler as crawler_module
+import repro.web.jsengine as jsengine
 from repro.errors import NetworkError
 from repro.core.study import DynamicStudy
 from repro.dynamic.apps import real_app_profiles, webview_iab_profiles
 from repro.dynamic.crawler import AdbCrawler, SYSTEM_WEBVIEW_SHELL
-from repro.exec import ExecConfig, process_backend_available
+from repro.exec import (
+    CACHE_DIR_ENV_VAR,
+    ExecConfig,
+    MAX_ENTRIES_ENV_VAR,
+    PARSED_SCRIPT_KIND,
+    process_backend_available,
+)
 from repro.netstack import SiteTemplateCache, default_site_template_cache
 from repro.netstack.network import Network
 from repro.obs import Obs
 from repro.web.jsengine import (
     JsInterpreter,
-    ScriptCache,
+    _parse_for_run,
+    default_script_cache,
     parse_js,
     record_script_events,
     script_cache_override,
@@ -29,7 +37,7 @@ from repro.web.sites import top_sites
 from repro.web.urls import parse_url, parse_url_cached
 
 
-def run_crawl(workers=1, script_cache=None, backend=None, progress=None,
+def run_crawl(workers=1, cache=None, backend=None, progress=None,
               app_names=("LinkedIn", "Kik"), site_count=6, seed=11):
     profiles = {p.name: p for p in real_app_profiles()}
     obs = Obs()
@@ -37,7 +45,7 @@ def run_crawl(workers=1, script_cache=None, backend=None, progress=None,
         [profiles[name] for name in app_names],
         sites=top_sites(site_count), seed=seed, obs=obs,
         exec_config=ExecConfig(max_workers=workers, chunk_size=1,
-                               backend=backend, script_cache=script_cache),
+                               backend=backend, cache=cache),
     )
     result = crawler.crawl(progress=progress)
     return crawler, result, obs
@@ -61,26 +69,26 @@ def metric_dicts(obs, exclude_exec=False):
 class TestShardedCrawlDeterminism:
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_crawl(workers=1, script_cache=False)
+        return run_crawl(workers=1, cache=False)
 
     def test_visits_identical_across_workers(self, serial):
         _, result1, _ = serial
-        _, result4, _ = run_crawl(workers=4, script_cache=False)
+        _, result4, _ = run_crawl(workers=4, cache=False)
         assert visit_snapshot(result4) == visit_snapshot(result1)
 
     def test_visits_identical_across_cache_settings(self, serial):
         _, cold, _ = serial
-        _, warm, _ = run_crawl(workers=1, script_cache=True)
+        _, warm, _ = run_crawl(workers=1, cache=True)
         assert visit_snapshot(warm) == visit_snapshot(cold)
 
     def test_registry_identical_across_cache_settings(self):
-        _, _, obs_off = run_crawl(workers=1, script_cache=False)
-        _, _, obs_on = run_crawl(workers=1, script_cache=True)
+        _, _, obs_off = run_crawl(workers=1, cache=False)
+        _, _, obs_on = run_crawl(workers=1, cache=True)
         assert metric_dicts(obs_on) == metric_dicts(obs_off)
 
     def test_registry_identical_across_workers_modulo_exec(self, serial):
         _, _, obs1 = serial
-        _, _, obs4 = run_crawl(workers=4, script_cache=False)
+        _, _, obs4 = run_crawl(workers=4, cache=False)
         assert (metric_dicts(obs4, exclude_exec=True)
                 == metric_dicts(obs1, exclude_exec=True))
 
@@ -88,9 +96,9 @@ class TestShardedCrawlDeterminism:
                         reason="process backend unavailable")
     def test_process_backend_matches_inline(self, serial):
         _, result1, obs1 = serial
-        _, result_p, obs_p = run_crawl(workers=4, script_cache=False,
+        _, result_p, obs_p = run_crawl(workers=4, cache=False,
                                        backend="process")
-        _, result_i, obs_i = run_crawl(workers=4, script_cache=False,
+        _, result_i, obs_i = run_crawl(workers=4, cache=False,
                                        backend="inline")
         assert visit_snapshot(result_p) == visit_snapshot(result_i)
         assert visit_snapshot(result_p) == visit_snapshot(result1)
@@ -101,14 +109,13 @@ class TestShardedCrawlDeterminism:
 
     def test_baseline_differencing_matches_serial(self, serial):
         _, result1, _ = serial
-        _, result4, _ = run_crawl(workers=4, script_cache=True)
+        _, result4, _ = run_crawl(workers=4, cache=True)
         for v1, v4 in zip(result1.visits, result4.visits):
             assert (result4.app_specific_hosts(v4)
                     == result1.app_specific_hosts(v1))
 
     def test_study_facade_threads_exec_config(self):
-        study = DynamicStudy(seed=7, site_count=4, obs=Obs(), max_workers=4,
-                             script_cache=True)
+        study = DynamicStudy(seed=7, site_count=4, obs=Obs(), max_workers=4)
         crawl = study.crawl_top_sites(apps=webview_iab_profiles()[:2])
         assert len(crawl.visits) == 2 * 4
         report = study.run_report()
@@ -178,49 +185,64 @@ class TestCrawlResultMemoization:
         assert len(calls) == first_pass
 
 
+@pytest.fixture
+def script_cache(monkeypatch):
+    """A fresh in-memory process-wide script cache, created on first use."""
+    monkeypatch.setattr(jsengine, "_DEFAULT_SCRIPT_CACHE", None)
+    monkeypatch.delenv(MAX_ENTRIES_ENV_VAR, raising=False)
+    monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+
+
+def parse_cached(source):
+    """Parse through the process-wide cache, as an interpreter run does."""
+    with script_cache_override(True):
+        return _parse_for_run(source)
+
+
+@pytest.mark.usefixtures("script_cache")
 class TestScriptCache:
     def test_miss_then_hit(self):
-        cache = ScriptCache()
         source = "var x = 1 + 2;"
-        program = cache.parse(source)
+        program = parse_cached(source)
+        cache = default_script_cache()
+        assert cache.kind == PARSED_SCRIPT_KIND
         assert cache.misses == 1 and cache.hits == 0
-        assert cache.parse(source) is program
+        assert parse_cached(source) is program
         assert cache.hits == 1
-        assert cache.time_saved_s > 0.0
         assert cache.hit_rate == 0.5
         assert len(cache) == 1
 
     def test_distinct_sources_distinct_entries(self):
-        cache = ScriptCache()
-        a = cache.parse("var a = 1;")
-        b = cache.parse("var b = 2;")
+        a = parse_cached("var a = 1;")
+        b = parse_cached("var b = 2;")
         assert a != b
+        cache = default_script_cache()
         assert cache.misses == 2 and len(cache) == 2
 
-    def test_lru_eviction_accounted(self):
-        cache = ScriptCache(max_entries=1)
-        cache.parse("var a = 1;")
-        cache.parse("var b = 2;")
+    def test_lru_eviction_accounted(self, monkeypatch):
+        monkeypatch.setenv(MAX_ENTRIES_ENV_VAR, "1")
+        parse_cached("var a = 1;")
+        parse_cached("var b = 2;")
+        cache = default_script_cache()
         assert cache.evictions == 1
-        cache.parse("var a = 1;")     # evicted, so a miss again
+        parse_cached("var a = 1;")     # evicted, so a miss again
         assert cache.misses == 3 and cache.hits == 0
 
     def test_clear_resets_accounting(self):
-        cache = ScriptCache()
-        cache.parse("var a = 1;")
-        cache.parse("var a = 1;")
+        parse_cached("var a = 1;")
+        parse_cached("var a = 1;")
+        cache = default_script_cache()
         cache.clear()
-        assert (len(cache), cache.hits, cache.misses,
-                cache.time_saved_s) == (0, 0, 0, 0.0)
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
 
     def test_digest_is_stable_content_key(self):
         assert script_digest("var x;") == script_digest("var x;")
         assert script_digest("var x;") != script_digest("var y;")
 
     def test_cached_program_equals_fresh_parse(self):
-        cache = ScriptCache()
         source = "function f(a) { return a * 2; } f(21);"
-        assert cache.parse(source) == parse_js(source)
+        assert parse_cached(source) == parse_js(source)
+        assert parse_cached(source) == parse_js(source)
 
     def test_interpreter_result_identical_with_and_without_cache(self):
         source = "var total = 0; for (var i = 0; i < 5; i++) " \

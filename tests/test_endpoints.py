@@ -301,8 +301,8 @@ class TestCensusDeterminism:
             dict(max_workers=4, backend="inline"),
             dict(max_workers=1, chunk_size=3),
             dict(max_workers=4, backend="process", window=1),
-            dict(max_workers=1, endpoint_cache=False),
-            dict(max_workers=4, backend="process", endpoint_cache=False),
+            dict(max_workers=1, cache=False),
+            dict(max_workers=4, backend="process", cache=False),
         ):
             _, result = run_census(**kwargs)
             assert census_snapshot(result) == reference, kwargs
@@ -328,12 +328,12 @@ class TestCensusDeterminism:
                 registry.get(ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC).value,
             )
 
-        reference = summary_counters(max_workers=1, endpoint_cache=True)
+        reference = summary_counters(max_workers=1, cache=True)
         assert summary_counters(max_workers=4, backend="process",
-                                endpoint_cache=True) == reference
+                                cache=True) == reference
         assert summary_counters(max_workers=4, backend="process",
                                 window=1,
-                                endpoint_cache=True) == reference
+                                cache=True) == reference
         assert reference[0] > 0  # shared SDK classes actually dedupe
 
     def test_streaming_never_materializes_apks_in_parent(self):
@@ -377,7 +377,7 @@ class TestCensusDeterminism:
         assert drops.labels(reason="endpoint").value == 1
 
     def test_run_report_has_endpoint_section(self):
-        census, _ = run_census(max_workers=1, endpoint_cache=True)
+        census, _ = run_census(max_workers=1, cache=True)
         report = census.run_report()
         assert "Static endpoint census" in report
         assert "Static endpoints" in report

@@ -31,7 +31,12 @@ from repro.obs import Obs
 from repro.results.serve import ResultsService, main as results_main
 from repro.results.store import ResultsStore
 from repro.web.html5_testpage import HTML5_TEST_PAGE, TEST_PAGE_URL
-from repro.web.jsengine import record_taint_flows, taint_labels, taint_override
+from repro.web.jsengine import (
+    default_script_cache,
+    record_taint_flows,
+    taint_labels,
+    taint_override,
+)
 
 
 def make_device():
@@ -288,6 +293,17 @@ class TestCensus:
         _, streamed = self._run(max_workers=2, backend="process",
                                 chunk_size=3)
         assert self._snapshot(streamed) == self._snapshot(result)
+
+    def test_cache_switch_reaches_every_shard(self):
+        # Off, the shards leave the process-wide script cache untouched;
+        # on, they use it; the findings are the same either way.
+        cache = default_script_cache()
+        before = (cache.hits, cache.misses)
+        _, uncached = self._run(max_workers=1, backend="inline", cache=False)
+        assert (cache.hits, cache.misses) == before
+        _, cached = self._run(max_workers=1, backend="inline", cache=True)
+        assert (cache.hits, cache.misses) != before
+        assert self._snapshot(uncached) == self._snapshot(cached)
 
     def test_severity_counts_fixed_order(self, result):
         counts = result.severity_counts()

@@ -31,6 +31,7 @@ from repro.obs.store import (
     TelemetryStore,
     check_latest,
     env_db_path,
+    git_describe,
     main,
 )
 
@@ -148,6 +149,43 @@ class TestEnvValidation:
         with pytest.raises(ValueError) as err:
             env_db_path()
         assert OBS_DB_ENV_VAR in str(err.value)
+
+
+class TestGitStamp:
+    """The stamp is dirty only when the code itself changed."""
+
+    @staticmethod
+    def _git(repo, *args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+             *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    @pytest.fixture
+    def checkout(self, tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "code.py").write_text("x = 1\n")
+        (tmp_path / "notes.md").write_text("notes\n")
+        self._git(tmp_path, "init", "-q")
+        self._git(tmp_path, "add", "-A")
+        self._git(tmp_path, "commit", "-q", "-m", "base")
+        return tmp_path
+
+    def test_change_outside_package_stays_clean(self, checkout):
+        clean = git_describe(cwd=str(checkout / "pkg"))
+        assert clean and not clean.endswith("-dirty")
+        (checkout / "notes.md").write_text("edited\n")
+        assert git_describe(cwd=str(checkout / "pkg")) == clean
+
+    def test_change_inside_package_is_dirty(self, checkout):
+        clean = git_describe(cwd=str(checkout / "pkg"))
+        (checkout / "pkg" / "code.py").write_text("x = 2\n")
+        assert git_describe(cwd=str(checkout / "pkg")) == clean + "-dirty"
+
+    def test_outside_a_checkout_is_empty(self, tmp_path):
+        assert git_describe(cwd=str(tmp_path)) == ""
 
 
 class TestStudyPersistence:
