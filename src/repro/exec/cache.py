@@ -291,7 +291,10 @@ class AnalysisCache:
         return self.hits / total if total else 0.0
 
     def clear(self):
+        """Drop every tier's in-memory entries and reset its accounting."""
         self._entries.clear()
+        self.hits = 0
+        self.misses = 0
         self.classes.clear()
         self.summaries.clear()
 

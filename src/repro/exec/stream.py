@@ -832,14 +832,19 @@ class StreamPlan:
         corpus cache, then replay each outcome's ordered digest stream in
         selection order — a digest is a hit iff it was cached before this
         run or already seen earlier in the replay. The result is
-        byte-identical at any worker count and backend.
+        byte-identical at any worker count and backend. A hit's bytes and
+        cost come from the facts this run shipped first, so a bounded
+        cache that evicted them during the merge still accounts for them.
         """
         cache = self.digest_cache
         if cache is None:
             return
+        shipped = {}
         for outcome in self.outcomes:
             if outcome.new_facts:
                 cache.merge(outcome.new_facts)
+                for digest, facts in outcome.new_facts.items():
+                    shipped.setdefault(digest, facts)
         seen = set()
         hits = misses = deduped = 0
         saved = 0.0
@@ -847,7 +852,9 @@ class StreamPlan:
             for digest in outcome.class_digests or ():
                 if digest in self._prior or digest in seen:
                     hits += 1
-                    facts = cache.peek(digest)
+                    facts = shipped.get(digest)
+                    if facts is None:
+                        facts = cache.peek(digest)
                     if facts is not None:
                         deduped += facts.canonical_size
                         saved += facts.cost

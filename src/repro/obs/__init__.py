@@ -180,14 +180,6 @@ class Obs:
 #: registry so standalone (non-study) calls still produce stage metrics.
 _DEFAULT_OBS = Obs(registry=REGISTRY, tracer=default_tracer())
 
-# Imported last: repro.obs.perf and repro.obs.store reach back into this
-# package's submodules (report constants, the live Span/registry types).
-from repro.obs.store import (  # noqa: E402
-    OBS_DB_ENV_VAR,
-    TelemetryStore,
-    git_describe,
-)
-
 
 def default_obs():
     return _DEFAULT_OBS
@@ -239,7 +231,6 @@ __all__ = [
     "Histogram",
     "LOG_LEVEL_ENV_VAR",
     "MetricsRegistry",
-    "OBS_DB_ENV_VAR",
     "Obs",
     "PROGRESS_ENV_VAR",
     "ProgressReporter",
@@ -252,7 +243,6 @@ __all__ = [
     "STAGE_SECONDS_METRIC",
     "Span",
     "StructuredLogger",
-    "TelemetryStore",
     "TickClock",
     "Tracer",
     "bind_context",
@@ -264,7 +254,6 @@ __all__ = [
     "default_tracer",
     "format_kv",
     "get_logger",
-    "git_describe",
     "parse_prometheus_text",
     "progress_enabled",
     "render_run_report",

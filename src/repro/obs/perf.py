@@ -1,6 +1,6 @@
-"""Critical-path profiling and regression detection over telemetry.
+"""Critical-path profiling and flamegraph export over telemetry.
 
-Three analysis layers on top of persisted (or live) observability state:
+Two analysis layers on top of persisted (or live) observability state:
 
 - :func:`profile` walks a span forest and computes per-stage **self
   time** (duration minus child durations — what the stage itself cost,
@@ -16,39 +16,10 @@ Three analysis layers on top of persisted (or live) observability state:
   span-name paths, and lines are sorted — so under a deterministic
   :class:`~repro.obs.metrics.TickClock` the output is byte-identical
   across worker counts and backends.
-- :func:`compare` / :func:`check` diff two runs' registries (per-stage
-  latency, cache hit rates, drop rate) against configurable
-  :class:`Thresholds`; ``python -m repro.obs.store check`` wires this
-  into CI as a soft regression gate, with the baseline taken as the
-  per-metric median of the last N stored runs.
 
-All thresholds are overridable via environment variables, validated
-eagerly with actionable error messages (a typo'd ``REPRO_OBS_STAGE_RATIO``
-fails at startup, not after the run it was meant to gate).
+``python -m repro.obs.store show`` profiles any recorded run and
+``python -m repro.obs.store flamegraph`` folds it.
 """
-
-import os
-import statistics
-
-from repro.obs.report import (
-    APPS_LISTED_METRIC,
-    DROPS_METRIC,
-    EXEC_CACHE_HITS_METRIC,
-    EXEC_CACHE_MISSES_METRIC,
-    EXEC_CLASS_CACHE_HITS_METRIC,
-    EXEC_CLASS_CACHE_MISSES_METRIC,
-    SCRIPT_CACHE_HITS_METRIC,
-    SCRIPT_CACHE_MISSES_METRIC,
-    STAGE_CALLS_METRIC,
-    STAGE_SECONDS_METRIC,
-)
-
-#: Threshold environment variables (see :class:`Thresholds`).
-STAGE_RATIO_ENV_VAR = "REPRO_OBS_STAGE_RATIO"
-MIN_STAGE_SECONDS_ENV_VAR = "REPRO_OBS_MIN_STAGE_SECONDS"
-HIT_RATE_DROP_ENV_VAR = "REPRO_OBS_HIT_RATE_DROP"
-DROP_RATE_INCREASE_ENV_VAR = "REPRO_OBS_DROP_RATE_INCREASE"
-BASELINE_WINDOW_ENV_VAR = "REPRO_OBS_BASELINE_WINDOW"
 
 #: Flamegraph counts are durations scaled to integer micro-clock-units.
 _FLAME_SCALE = 1_000_000
@@ -245,259 +216,3 @@ def flamegraph(roots):
     lines = ["%s %d" % (";".join(stack), count)
              for stack, count in sorted(folded.items())]
     return "\n".join(lines) + "\n" if lines else ""
-
-
-# -- regression detection -----------------------------------------------------
-
-
-class ThresholdError(ValueError):
-    """Raised for invalid regression-threshold configuration."""
-
-
-def _env_float(name, default, minimum=None, maximum=None):
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ThresholdError(
-            "%s=%r is not a number; expected a float like %g"
-            % (name, raw, default)
-        )
-    if minimum is not None and value < minimum:
-        raise ThresholdError(
-            "%s=%g is below the minimum %g" % (name, value, minimum)
-        )
-    if maximum is not None and value > maximum:
-        raise ThresholdError(
-            "%s=%g is above the maximum %g" % (name, value, maximum)
-        )
-    return value
-
-
-def _env_int(name, default, minimum=1):
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ThresholdError(
-            "%s=%r is not an integer; expected a count like %d"
-            % (name, raw, default)
-        )
-    if value < minimum:
-        raise ThresholdError(
-            "%s=%d must be at least %d" % (name, value, minimum)
-        )
-    return value
-
-
-class Thresholds:
-    """Regression gates for :func:`compare`, env-overridable.
-
-    ``stage_ratio``: a stage's per-call latency must grow by more than
-    this factor (and the stage must cost at least ``min_stage_seconds``
-    in the latest run) to count as a regression. ``hit_rate_drop`` and
-    ``drop_rate_increase`` are absolute changes in [0, 1].
-    """
-
-    def __init__(self, stage_ratio=None, min_stage_seconds=None,
-                 hit_rate_drop=None, drop_rate_increase=None):
-        self.stage_ratio = (
-            stage_ratio if stage_ratio is not None
-            else _env_float(STAGE_RATIO_ENV_VAR, 1.5, minimum=1.0)
-        )
-        self.min_stage_seconds = (
-            min_stage_seconds if min_stage_seconds is not None
-            else _env_float(MIN_STAGE_SECONDS_ENV_VAR, 0.005, minimum=0.0)
-        )
-        self.hit_rate_drop = (
-            hit_rate_drop if hit_rate_drop is not None
-            else _env_float(HIT_RATE_DROP_ENV_VAR, 0.05,
-                            minimum=0.0, maximum=1.0)
-        )
-        self.drop_rate_increase = (
-            drop_rate_increase if drop_rate_increase is not None
-            else _env_float(DROP_RATE_INCREASE_ENV_VAR, 0.02,
-                            minimum=0.0, maximum=1.0)
-        )
-
-    @staticmethod
-    def baseline_window():
-        """How many prior runs the ``check`` baseline median spans."""
-        return _env_int(BASELINE_WINDOW_ENV_VAR, 5)
-
-    def __repr__(self):
-        return ("Thresholds(stage_ratio=%g, hit_rate_drop=%g, "
-                "drop_rate_increase=%g)"
-                % (self.stage_ratio, self.hit_rate_drop,
-                   self.drop_rate_increase))
-
-
-class Finding:
-    """One metric's baseline-vs-latest comparison."""
-
-    __slots__ = ("metric", "baseline", "latest", "breach", "detail")
-
-    def __init__(self, metric, baseline, latest, breach, detail):
-        self.metric = metric
-        self.baseline = baseline
-        self.latest = latest
-        self.breach = breach
-        self.detail = detail
-
-    def as_dict(self):
-        return {
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "latest": self.latest,
-            "breach": self.breach,
-            "detail": self.detail,
-        }
-
-    def __repr__(self):
-        flag = "REGRESSION" if self.breach else "ok"
-        return "Finding(%s, %s: %s)" % (self.metric, flag, self.detail)
-
-
-def run_stats(registry):
-    """The comparable facts of one run's registry.
-
-    ``stages`` maps span name to mean per-call latency, ``hit_rates``
-    maps cache tier to hit rate (only tiers the run exercised), and
-    ``drop_rate`` is drops over listed apps (None when nothing was
-    listed). Works on live registries and on snapshots rebuilt from the
-    telemetry store alike.
-    """
-    seconds = {labels[0]: value for labels, value
-               in registry.label_values(STAGE_SECONDS_METRIC).items()}
-    calls = {labels[0]: value for labels, value
-             in registry.label_values(STAGE_CALLS_METRIC).items()}
-    stages = {
-        name: total / calls[name]
-        for name, total in seconds.items()
-        if calls.get(name)
-    }
-    stage_totals = dict(seconds)
-
-    hit_rates = {}
-    for tier, hits_metric, misses_metric in (
-        ("apk", EXEC_CACHE_HITS_METRIC, EXEC_CACHE_MISSES_METRIC),
-        ("class", EXEC_CLASS_CACHE_HITS_METRIC,
-         EXEC_CLASS_CACHE_MISSES_METRIC),
-        ("script", SCRIPT_CACHE_HITS_METRIC, SCRIPT_CACHE_MISSES_METRIC),
-    ):
-        if registry.get(hits_metric) is None:
-            continue
-        hits = registry.value(hits_metric)
-        misses = registry.value(misses_metric)
-        if hits + misses:
-            hit_rates[tier] = hits / (hits + misses)
-
-    listed = registry.value(APPS_LISTED_METRIC)
-    drops = sum(registry.label_values(DROPS_METRIC).values())
-    drop_rate = drops / listed if listed else None
-    return {
-        "stages": stages,
-        "stage_totals": stage_totals,
-        "hit_rates": hit_rates,
-        "drop_rate": drop_rate,
-    }
-
-
-def _median_stats(stats_list):
-    """Per-metric medians across a baseline window of run stats."""
-    merged = {"stages": {}, "stage_totals": {}, "hit_rates": {},
-              "drop_rate": None}
-    for key in ("stages", "stage_totals", "hit_rates"):
-        names = sorted({name for stats in stats_list
-                        for name in stats[key]})
-        for name in names:
-            values = [stats[key][name] for stats in stats_list
-                      if name in stats[key]]
-            merged[key][name] = statistics.median(values)
-    drop_rates = [stats["drop_rate"] for stats in stats_list
-                  if stats["drop_rate"] is not None]
-    if drop_rates:
-        merged["drop_rate"] = statistics.median(drop_rates)
-    return merged
-
-
-def compare(baseline, latest, thresholds=None):
-    """Compare two runs' stats; returns a list of :class:`Finding`.
-
-    ``baseline`` and ``latest`` are :func:`run_stats` dicts (or
-    registries, coerced automatically). Only metrics present on both
-    sides are compared; a stage that disappeared or appeared is
-    reported as an informational (non-breach) finding.
-    """
-    thresholds = thresholds or Thresholds()
-    baseline = _coerce_stats(baseline)
-    latest = _coerce_stats(latest)
-    findings = []
-
-    for name in sorted(set(baseline["stages"]) | set(latest["stages"])):
-        base = baseline["stages"].get(name)
-        new = latest["stages"].get(name)
-        if base is None or new is None:
-            findings.append(Finding(
-                "stage:%s" % name, base, new, False,
-                "stage only present in %s run"
-                % ("latest" if base is None else "baseline"),
-            ))
-            continue
-        total = latest["stage_totals"].get(name, 0.0)
-        ratio = new / base if base else float("inf") if new else 1.0
-        breach = (ratio > thresholds.stage_ratio
-                  and total >= thresholds.min_stage_seconds)
-        findings.append(Finding(
-            "stage:%s" % name, base, new, breach,
-            "per-call latency %.6g -> %.6g (%.2fx, gate %.2fx)"
-            % (base, new, ratio, thresholds.stage_ratio),
-        ))
-
-    for tier in sorted(set(baseline["hit_rates"]) & set(latest["hit_rates"])):
-        base = baseline["hit_rates"][tier]
-        new = latest["hit_rates"][tier]
-        drop = base - new
-        breach = drop > thresholds.hit_rate_drop
-        findings.append(Finding(
-            "hit_rate:%s" % tier, base, new, breach,
-            "%s-cache hit rate %.1f%% -> %.1f%% (gate -%.1f points)"
-            % (tier, 100 * base, 100 * new,
-               100 * thresholds.hit_rate_drop),
-        ))
-
-    if (baseline["drop_rate"] is not None
-            and latest["drop_rate"] is not None):
-        base = baseline["drop_rate"]
-        new = latest["drop_rate"]
-        breach = (new - base) > thresholds.drop_rate_increase
-        findings.append(Finding(
-            "drop_rate", base, new, breach,
-            "drop rate %.2f%% -> %.2f%% (gate +%.2f points)"
-            % (100 * base, 100 * new,
-               100 * thresholds.drop_rate_increase),
-        ))
-    return findings
-
-
-def _coerce_stats(value):
-    if isinstance(value, dict) and "stages" in value:
-        return value
-    return run_stats(value)
-
-
-def check_window(stats_window, latest, thresholds=None):
-    """Gate ``latest`` against the median of a window of prior stats.
-
-    Returns ``(findings, breaches)`` — an empty window yields no
-    findings (nothing to gate against is a pass, not a failure).
-    """
-    if not stats_window:
-        return [], []
-    baseline = _median_stats([_coerce_stats(s) for s in stats_window])
-    findings = compare(baseline, latest, thresholds)
-    return findings, [f for f in findings if f.breach]

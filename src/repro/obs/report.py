@@ -8,6 +8,7 @@ per-stage time shares. Tables go through :mod:`repro.reporting` so the
 output matches every other artifact the repo renders.
 """
 
+from repro.obs import perf
 from repro.reporting import Table
 from repro.reporting.markdown import table_to_markdown
 
@@ -304,9 +305,6 @@ def _profile_table(obs):
     share says how much of the run's longest dependency chain each stage
     owns — the stages worth optimizing first.
     """
-    # Imported lazily: repro.obs.perf imports this module's metric names.
-    from repro.obs import perf
-
     roots = list(obs.tracer.roots)
     if not roots:
         return None

@@ -5,18 +5,16 @@ benchmark — can persist its observability state (span forest, metrics
 registry snapshot, benchmark payloads) into a single SQLite database
 named by the ``REPRO_OBS_DB`` environment variable. The store is the
 substrate for the analyses in :mod:`repro.obs.perf`: critical-path
-profiles and flamegraphs of any historical run, and regression gating of
-the latest run against the median of its predecessors.
+profiles and flamegraphs of any historical run.
 
 Design points:
 
 - **Append-only.** Rows are only ever inserted; a run is immutable once
   recorded. "Latest" queries order by the monotonically increasing
   ``seq`` rowid.
-- **Keyed for comparability.** Runs carry ``(kind, corpus fingerprint,
-  options token, git describe)``; the regression gate only compares runs
-  of the same kind/corpus/options, so a corpus change never reads as a
-  latency regression.
+- **Keyed.** Runs carry ``(kind, corpus fingerprint, options token,
+  git describe)``; the ``runs_by_key`` index orders each
+  kind/corpus/options history by ``seq``.
 - **Shared persistence rules.** How the file opens, upgrades, is written
   and is read — WAL, concurrent writers, corrupt files reading as
   absent, failed writes as warnings — is :mod:`repro.persist`'s; this
@@ -26,14 +24,11 @@ The module doubles as a CLI::
 
     python -m repro.obs.store list [--kind static]
     python -m repro.obs.store show static-000003
-    python -m repro.obs.store check --kind static
     python -m repro.obs.store flamegraph static-000003 --out run.folded
-
-``check`` exits non-zero when the latest run breaches the regression
-thresholds against its baseline window — CI wires it in as a soft gate.
 """
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -103,10 +98,11 @@ def git_describe(cwd=None):
     ``cwd`` defaults to the ``repro`` package directory. The stamp gets
     ``-dirty`` only when files under ``cwd`` differ from HEAD, so edits
     elsewhere in the checkout (docs, benchmark payloads) do not mark
-    the code that produced a run as modified.
+    the code that produced a run as modified. The default stamp names
+    the code this process imported, so it is computed once per process.
     """
     if cwd is None:
-        cwd = _PACKAGE_DIR
+        return _package_stamp()
     try:
         described = subprocess.run(
             ["git", "describe", "--always"],
@@ -122,6 +118,11 @@ def git_describe(cwd=None):
         return ""
     stamp = described.stdout.decode("utf-8", "replace").strip()
     return stamp + "-dirty" if changed.returncode == 1 else stamp
+
+
+@functools.lru_cache(maxsize=None)
+def _package_stamp():
+    return git_describe(_PACKAGE_DIR)
 
 
 class TelemetryStore(SqliteStore):
@@ -261,54 +262,12 @@ class TelemetryStore(SqliteStore):
                 continue
         return out
 
-    def last_runs(self, kind, corpus=None, options=None, limit=10):
-        """run_ids of the newest matching runs, newest first."""
-        sql = "SELECT run_id FROM runs WHERE kind = ?"
-        params = [kind]
-        if corpus is not None:
-            sql += " AND corpus = ?"
-            params.append(corpus)
-        if options is not None:
-            sql += " AND options = ?"
-            params.append(options)
-        sql += " ORDER BY seq DESC LIMIT ?"
-        params.append(int(limit))
-        return [row[0] for row in self._query(sql, tuple(params))]
-
-
-# -- regression gate ----------------------------------------------------------
-
-
-def check_latest(store, kind, window=None, thresholds=None):
-    """Gate the newest ``kind`` run against its predecessors' median.
-
-    The baseline window only spans runs sharing the latest run's
-    ``(corpus, options)`` key. Returns ``(latest_meta, findings,
-    breaches)``; with no latest run or no baseline, findings are empty
-    (nothing to gate is a pass).
-    """
-    if window is None:
-        window = perf.Thresholds.baseline_window()
-    latest_ids = store.last_runs(kind, limit=1)
-    if not latest_ids:
-        return None, [], []
-    latest = store.get_run(latest_ids[0])
-    candidates = store.last_runs(kind, corpus=latest["corpus"],
-                                 options=latest["options"],
-                                 limit=window + 1)
-    baseline_ids = [rid for rid in candidates if rid != latest["run_id"]]
-    latest_registry = store.load_registry(latest["run_id"])
-    if latest_registry is None:
-        return latest, [], []
-    baseline_stats = []
-    for run_id in baseline_ids:
-        registry = store.load_registry(run_id)
-        if registry is not None:
-            baseline_stats.append(perf.run_stats(registry))
-    findings, breaches = perf.check_window(
-        baseline_stats, perf.run_stats(latest_registry), thresholds
-    )
-    return latest, findings, breaches
+    def last_runs(self, kind, limit=10):
+        """run_ids of the newest runs of ``kind``, newest first."""
+        return [row[0] for row in self._query(
+            "SELECT run_id FROM runs WHERE kind = ?"
+            " ORDER BY seq DESC LIMIT ?", (kind, int(limit)),
+        )]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -349,33 +308,6 @@ def _cmd_show(store, args):
     return 0
 
 
-def _cmd_check(store, args):
-    thresholds = perf.Thresholds(
-        stage_ratio=args.stage_ratio,
-        hit_rate_drop=args.hit_rate_drop,
-        drop_rate_increase=args.drop_rate_increase,
-    )
-    latest, findings, breaches = check_latest(
-        store, args.kind, window=args.window, thresholds=thresholds
-    )
-    if latest is None:
-        print("no %r runs recorded; nothing to check" % args.kind)
-        return 0
-    print("latest run: %s (git %s)" % (latest["run_id"],
-                                       latest["git"] or "-"))
-    if not findings:
-        print("no baseline runs with matching corpus/options; pass")
-        return 0
-    for finding in findings:
-        marker = "REGRESSION" if finding.breach else "ok"
-        print("%-10s %-28s %s" % (marker, finding.metric, finding.detail))
-    if breaches:
-        print("%d regression(s) detected" % len(breaches))
-        return 1
-    print("within thresholds")
-    return 0
-
-
 def _cmd_flamegraph(store, args):
     run_id = args.run_id
     if run_id is None:
@@ -404,7 +336,7 @@ def _cmd_flamegraph(store, args):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.store",
-        description="Inspect and gate the persistent telemetry store.",
+        description="Inspect the persistent telemetry store.",
     )
     parser.add_argument("--db", help="database file (default: $%s)"
                         % OBS_DB_ENV_VAR)
@@ -415,17 +347,6 @@ def main(argv=None):
 
     cmd = commands.add_parser("show", help="dump one run's profile")
     cmd.add_argument("run_id")
-
-    cmd = commands.add_parser(
-        "check", help="gate the latest run against its baseline window"
-    )
-    cmd.add_argument("--kind", default="static")
-    cmd.add_argument("--window", type=int, default=None,
-                     help="baseline runs to median over (default $%s or 5)"
-                     % perf.BASELINE_WINDOW_ENV_VAR)
-    cmd.add_argument("--stage-ratio", type=float, default=None)
-    cmd.add_argument("--hit-rate-drop", type=float, default=None)
-    cmd.add_argument("--drop-rate-increase", type=float, default=None)
 
     cmd = commands.add_parser(
         "flamegraph", help="emit collapsed-stack text for one run"
@@ -440,7 +361,6 @@ def main(argv=None):
     handler = {
         "list": _cmd_list,
         "show": _cmd_show,
-        "check": _cmd_check,
         "flamegraph": _cmd_flamegraph,
     }[args.command]
     return handler(store, args)

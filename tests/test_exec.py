@@ -123,6 +123,14 @@ class TestAnalysisCache:
         assert len(cache) == 0
         assert cache.get("a" * 64, ()) is None
 
+    def test_clear_resets_every_tier_accounting(self):
+        cache = AnalysisCache()
+        cache.get("a" * 64, ())
+        cache.classes.get("b" * 64)
+        cache.clear()
+        for tier in (cache, cache.classes, cache.summaries):
+            assert (tier.hits, tier.misses) == (0, 0)
+
 
 def fifo_schedule(costs, max_workers, chunk_size):
     """The back-to-back FIFO schedule: the stream replay without steals."""

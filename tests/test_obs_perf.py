@@ -1,5 +1,5 @@
-"""Tests for critical-path profiling, regression thresholds, and live
-progress streaming (repro.obs.perf / repro.obs.progress).
+"""Tests for critical-path profiling and live progress streaming
+(repro.obs.perf / repro.obs.progress).
 
 The flamegraph contract is the hard one: collapsed-stack output over a
 study's span forest must be byte-identical at any worker count and pool
@@ -152,108 +152,6 @@ class TestProfileAndFlamegraph:
         via_tracer = perf.flamegraph(obs.tracer)
         via_roots = perf.flamegraph(obs.tracer.roots)
         assert via_tracer == via_roots
-
-
-class TestThresholds:
-    def test_defaults(self, monkeypatch):
-        for var in (perf.STAGE_RATIO_ENV_VAR, perf.HIT_RATE_DROP_ENV_VAR,
-                    perf.DROP_RATE_INCREASE_ENV_VAR,
-                    perf.MIN_STAGE_SECONDS_ENV_VAR):
-            monkeypatch.delenv(var, raising=False)
-        thresholds = perf.Thresholds()
-        assert thresholds.stage_ratio == 1.5
-        assert thresholds.hit_rate_drop == 0.05
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(perf.STAGE_RATIO_ENV_VAR, "2.5")
-        assert perf.Thresholds().stage_ratio == 2.5
-
-    def test_non_numeric_is_actionable(self, monkeypatch):
-        monkeypatch.setenv(perf.STAGE_RATIO_ENV_VAR, "fast")
-        with pytest.raises(perf.ThresholdError) as err:
-            perf.Thresholds()
-        message = str(err.value)
-        assert perf.STAGE_RATIO_ENV_VAR in message
-        assert "fast" in message
-
-    def test_below_minimum_rejected(self, monkeypatch):
-        monkeypatch.setenv(perf.STAGE_RATIO_ENV_VAR, "0.5")
-        with pytest.raises(perf.ThresholdError) as err:
-            perf.Thresholds()
-        assert "minimum" in str(err.value)
-
-    def test_rate_above_one_rejected(self, monkeypatch):
-        monkeypatch.setenv(perf.HIT_RATE_DROP_ENV_VAR, "1.5")
-        with pytest.raises(perf.ThresholdError):
-            perf.Thresholds()
-
-    def test_window_must_be_positive_integer(self, monkeypatch):
-        monkeypatch.setenv(perf.BASELINE_WINDOW_ENV_VAR, "three")
-        with pytest.raises(perf.ThresholdError) as err:
-            perf.Thresholds.baseline_window()
-        assert perf.BASELINE_WINDOW_ENV_VAR in str(err.value)
-        monkeypatch.setenv(perf.BASELINE_WINDOW_ENV_VAR, "0")
-        with pytest.raises(perf.ThresholdError):
-            perf.Thresholds.baseline_window()
-        monkeypatch.setenv(perf.BASELINE_WINDOW_ENV_VAR, "7")
-        assert perf.Thresholds.baseline_window() == 7
-
-
-class TestCompare:
-    def stats(self, analyze=1.0, hit_rate=None, drop_rate=None):
-        out = {"stages": {"analyze_app": analyze},
-               "stage_totals": {"analyze_app": analyze * 10},
-               "hit_rates": {}, "drop_rate": drop_rate}
-        if hit_rate is not None:
-            out["hit_rates"]["class"] = hit_rate
-        return out
-
-    def test_equal_stats_pass(self):
-        findings, breaches = perf.check_window(
-            [self.stats(), self.stats()], self.stats()
-        )
-        assert findings
-        assert breaches == []
-
-    def test_stage_slowdown_breaches(self):
-        findings, breaches = perf.check_window(
-            [self.stats(1.0)] * 3, self.stats(2.0)
-        )
-        assert [f.metric for f in breaches] == ["stage:analyze_app"]
-        assert breaches[0].breach
-
-    def test_tiny_stages_are_exempt(self):
-        # 2x ratio but the stage costs less than min_stage_seconds.
-        thresholds = perf.Thresholds(stage_ratio=1.5,
-                                     min_stage_seconds=100.0)
-        _, breaches = perf.check_window(
-            [self.stats(1.0)] * 3, self.stats(2.0), thresholds
-        )
-        assert breaches == []
-
-    def test_hit_rate_drop_breaches(self):
-        _, breaches = perf.check_window(
-            [self.stats(hit_rate=0.9)] * 3, self.stats(hit_rate=0.7)
-        )
-        assert [f.metric for f in breaches] == ["hit_rate:class"]
-
-    def test_drop_rate_increase_breaches(self):
-        _, breaches = perf.check_window(
-            [self.stats(drop_rate=0.01)] * 3, self.stats(drop_rate=0.2)
-        )
-        assert [f.metric for f in breaches] == ["drop_rate"]
-
-    def test_stage_on_one_side_is_informational(self):
-        latest = self.stats()
-        latest["stages"]["new_stage"] = 5.0
-        latest["stage_totals"]["new_stage"] = 50.0
-        findings, breaches = perf.check_window([self.stats()], latest)
-        assert any(f.metric == "stage:new_stage" and not f.breach
-                   for f in findings)
-        assert breaches == []
-
-    def test_empty_baseline_passes(self):
-        assert perf.check_window([], self.stats()) == ([], [])
 
 
 class Outcome:

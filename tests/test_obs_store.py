@@ -4,8 +4,8 @@ The store's contracts: append-only run history keyed by (kind, corpus,
 options, git); lossless span/registry round-trips through SQLite;
 concurrent writer processes interleave safely under WAL; corrupt
 databases read as absent (the longitudinal RunStore convention) and
-failed writes degrade to warnings; the regression gate passes identical
-re-runs and flags injected slowdowns.
+failed writes degrade to warnings; the git stamp names the code, once
+per process.
 """
 
 import json
@@ -18,22 +18,19 @@ import pytest
 from repro.core import DynamicStudy, StaticStudy
 from repro.corpus import CorpusConfig, evolve_corpus, generate_corpus
 from repro.longitudinal import IncrementalRunner, RunStore
-from repro.obs import (
-    DROPS_METRIC,
-    APPS_LISTED_METRIC,
-    Obs,
-    STAGE_CALLS_METRIC,
-    STAGE_SECONDS_METRIC,
-)
-from repro.obs import perf
+from repro.obs import Obs, perf
+from repro.obs import store as obs_store
 from repro.obs.store import (
     OBS_DB_ENV_VAR,
     TelemetryStore,
-    check_latest,
     env_db_path,
     git_describe,
     main,
 )
+from repro.results.store import ResultsStore
+from repro.sdk.catalog import build_catalog
+from repro.sdk.labeling import SdkLabeler
+from repro.static_analysis.results import StudyResult
 
 
 def sample_obs():
@@ -48,18 +45,6 @@ def sample_obs():
             with obs.span("analyze_app", package="com.b"):
                 pass
     return obs
-
-
-def record_synthetic(store, analyze_latency, kind="static", calls=10,
-                     corpus="cafecafe", options="0ff1ce00"):
-    """Record a run whose analyze_app mean latency is ``analyze_latency``."""
-    obs = sample_obs()
-    seconds = obs.registry.counter(STAGE_SECONDS_METRIC, "", ("stage",))
-    count = obs.registry.counter(STAGE_CALLS_METRIC, "", ("stage",))
-    seconds.labels(stage="analyze_app").inc(analyze_latency * calls)
-    count.labels(stage="analyze_app").inc(calls)
-    return store.record_run(obs, kind, corpus=corpus, options=options,
-                            git="deadbeef", items=calls)
 
 
 class TestStoreBasics:
@@ -187,6 +172,27 @@ class TestGitStamp:
     def test_outside_a_checkout_is_empty(self, tmp_path):
         assert git_describe(cwd=str(tmp_path)) == ""
 
+    def test_default_stamp_runs_git_once_per_process(self, tmp_path,
+                                                     monkeypatch):
+        real_run = subprocess.run
+        spawned = []
+
+        def counting_run(args, *rest, **kwargs):
+            if args and args[0] == "git":
+                spawned.append(args)
+            return real_run(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        obs_store._package_stamp.cache_clear()
+        results = ResultsStore(str(tmp_path / "r.db"))
+        result = StudyResult(SdkLabeler(build_catalog()))
+        results.ingest(result, snapshot="2023-01-13")
+        results.ingest(result, snapshot="2023-04-13")
+        TelemetryStore(str(tmp_path / "t.db")).record_run(sample_obs(),
+                                                          "static")
+        assert results.generation() == 2
+        assert 0 < len(spawned) <= 2
+
 
 class TestStudyPersistence:
     def test_static_study_records(self, tmp_path):
@@ -224,51 +230,6 @@ class TestStudyPersistence:
         assert recorded["label"] == timeline.dates[0].isoformat()
 
 
-class TestRegressionGate:
-    def test_identical_reruns_pass(self, tmp_path):
-        store = TelemetryStore(str(tmp_path / "t.db"))
-        for _ in range(3):
-            record_synthetic(store, analyze_latency=1.0)
-        latest, findings, breaches = check_latest(store, "static")
-        assert latest["run_id"] == "static-000003"
-        assert findings
-        assert breaches == []
-
-    def test_injected_regression_detected(self, tmp_path):
-        store = TelemetryStore(str(tmp_path / "t.db"))
-        for _ in range(3):
-            record_synthetic(store, analyze_latency=1.0)
-        record_synthetic(store, analyze_latency=2.0)
-        _, _, breaches = check_latest(store, "static")
-        assert any(f.metric == "stage:analyze_app" for f in breaches)
-
-    def test_different_corpus_is_never_compared(self, tmp_path):
-        store = TelemetryStore(str(tmp_path / "t.db"))
-        record_synthetic(store, analyze_latency=1.0, corpus="aaaa")
-        record_synthetic(store, analyze_latency=9.0, corpus="bbbb")
-        latest, findings, breaches = check_latest(store, "static")
-        assert latest["corpus"] == "bbbb"
-        assert findings == []
-        assert breaches == []
-
-    def test_empty_store_passes(self, tmp_path):
-        store = TelemetryStore(str(tmp_path / "t.db"))
-        assert check_latest(store, "static") == (None, [], [])
-
-    def test_drop_rate_regression(self, tmp_path):
-        store = TelemetryStore(str(tmp_path / "t.db"))
-        for drops in (0, 0, 0, 50):
-            obs = sample_obs()
-            obs.registry.counter(APPS_LISTED_METRIC, "").inc(1000)
-            if drops:
-                obs.registry.counter(
-                    DROPS_METRIC, "", ("reason",)
-                ).labels(reason="broken_apk").inc(drops)
-            store.record_run(obs, "static", corpus="c", options="o")
-        _, _, breaches = check_latest(store, "static")
-        assert any(f.metric == "drop_rate" for f in breaches)
-
-
 class TestCli:
     def test_list_empty(self, tmp_path, capsys):
         db = str(tmp_path / "t.db")
@@ -281,25 +242,11 @@ class TestCli:
 
     def test_show_known_run(self, tmp_path, capsys):
         db = str(tmp_path / "t.db")
-        run_id = record_synthetic(TelemetryStore(db), 1.0)
+        run_id = TelemetryStore(db).record_run(sample_obs(), "static")
         assert main(["--db", db, "show", run_id]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "analyze_app" in out
-
-    def test_check_exit_codes(self, tmp_path, capsys):
-        db = str(tmp_path / "t.db")
-        store = TelemetryStore(db)
-        for _ in range(3):
-            record_synthetic(store, analyze_latency=1.0)
-        assert main(["--db", db, "check", "--kind", "static"]) == 0
-        record_synthetic(store, analyze_latency=2.0)
-        assert main(["--db", db, "check", "--kind", "static"]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-
-    def test_check_without_runs_passes(self, tmp_path, capsys):
-        assert main(["--db", str(tmp_path / "t.db"), "check"]) == 0
 
     def test_flamegraph_to_file(self, tmp_path, capsys):
         db = str(tmp_path / "t.db")
