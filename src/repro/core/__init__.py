@@ -18,8 +18,7 @@ Three studies build on the paper's two pipelines:
 >>> print(study.table7())                      # doctest: +SKIP
 """
 
-from repro.core.study import DynamicStudy, InterleavedStudies, StaticStudy
+from repro.core.study import DynamicStudy, StaticStudy
 from repro.longitudinal import LongitudinalStudy
 
-__all__ = ["StaticStudy", "DynamicStudy", "InterleavedStudies",
-           "LongitudinalStudy"]
+__all__ = ["StaticStudy", "DynamicStudy", "LongitudinalStudy"]

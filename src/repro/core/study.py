@@ -7,8 +7,8 @@ from repro.dynamic.crawler import AdbCrawler, DEFAULT_CRAWL_CHUNK_SIZE
 from repro.exec.config import CHUNK_SIZE_ENV_VAR, _env_int
 from repro.dynamic.manual_study import ManualStudy
 from repro.dynamic.measurements import IabMeasurementHarness
-from repro.exec import ExecConfig, chain_results, run_plans
-from repro.obs import Obs, get_logger
+from repro.exec import ExecConfig, chain_results
+from repro.obs import Obs
 from repro.obs.progress import ProgressReporter, progress_enabled
 from repro.obs.store import TelemetryStore
 from repro.reporting import Table
@@ -76,7 +76,24 @@ class StaticStudy:
     def run(self, max_apps=None, progress=None):
         """Run the pipeline; memoizes the result and persists telemetry."""
         plan = self.stream_plan(max_apps=max_apps, progress=progress)
-        return self._finish_run(plan.run(), prepared=plan.prepared)
+        self.result = plan.run()
+        self._aggregator = None
+        if self.telemetry is not None:
+            self.telemetry.record_run(
+                self.obs, "static",
+                corpus=self.corpus.fingerprint(),
+                options=fingerprint_token(self.options.cache_key()),
+                items=self.result.analyzed, root_span="run",
+            )
+        if self.results_store is not None:
+            self.results_store.ingest(
+                self.result,
+                corpus=self.corpus.fingerprint(),
+                options=fingerprint_token(self.options.cache_key()),
+                snapshot=str(self.corpus.config.snapshot_date),
+                prepared=plan.prepared,
+            )
+        return self.result
 
     def stream_plan(self, max_apps=None, progress=None):
         """Open a run whose ingest rows prepare incrementally.
@@ -102,27 +119,6 @@ class StaticStudy:
 
             plan.stage.consume_ordered(prepare)
         return plan
-
-    def _finish_run(self, result, prepared=None):
-        """Memoize the result and persist telemetry + queryable rows."""
-        self.result = result
-        self._aggregator = None
-        if self.telemetry is not None:
-            self.telemetry.record_run(
-                self.obs, "static",
-                corpus=self.corpus.fingerprint(),
-                options=fingerprint_token(self.options.cache_key()),
-                items=self.result.analyzed, root_span="run",
-            )
-        if self.results_store is not None:
-            self.results_store.ingest(
-                self.result,
-                corpus=self.corpus.fingerprint(),
-                options=fingerprint_token(self.options.cache_key()),
-                snapshot=str(self.corpus.config.snapshot_date),
-                prepared=prepared,
-            )
-        return self.result
 
     @property
     def aggregator(self):
@@ -286,30 +282,16 @@ class DynamicStudy:
     # -- Figure 6 -----------------------------------------------------------------
 
     def crawl_top_sites(self, apps=None, progress=None):
-        if self._crawl is None:
-            crawler = self._make_crawler(apps)
-            crawl = crawler.crawl(
-                progress=chain_results(progress, self.progress_hook)
-            )
-            self._finish_crawl(crawl)
-        return self._crawl
-
-    def _make_crawler(self, apps=None):
+        """Crawl, memoize the crawl and persist telemetry + queryable rows."""
+        if self._crawl is not None:
+            return self._crawl
         if apps is None:
             apps = webview_iab_profiles()
-        return AdbCrawler(apps, sites=self.sites, seed=self.seed,
-                          obs=self.obs, exec_config=self.exec_config)
-
-    def stream_plan(self, apps=None, progress=None):
-        """Open a streaming crawl (see :meth:`AdbCrawler.stream_plan`)."""
-        crawler = self._make_crawler(apps)
-        return crawler.stream_plan(
+        crawler = AdbCrawler(apps, sites=self.sites, seed=self.seed,
+                             obs=self.obs, exec_config=self.exec_config)
+        self._crawl = crawl = crawler.crawl(
             progress=chain_results(progress, self.progress_hook)
         )
-
-    def _finish_crawl(self, crawl):
-        """Memoize the crawl and persist telemetry + queryable rows."""
-        self._crawl = crawl
         corpus = fingerprint_token(("crawl", self.seed, len(self.sites)))
         # The token keeps its original name so the keys of existing
         # results and telemetry DBs still match.
@@ -341,46 +323,6 @@ class DynamicStudy:
 
     def all_profiles(self):
         return real_app_profiles()
-
-
-class InterleavedStudies:
-    """Run a static study and a dynamic crawl through ONE scheduler.
-
-    Both studies' chunks interleave round-robin in a single streaming
-    worker pool (:func:`~repro.exec.run_plans`), so the crawl's many
-    uniform shards fill the worker idle time behind the static study's
-    straggler APKs — the mixed-workload speedup
-    ``benchmarks/bench_scheduler.py`` measures. One shared schedule
-    simulation attributes workers and makespan across both stages.
-
-    Each study keeps its own :class:`~repro.obs.Obs` bundle (the
-    stages' ``context`` factories re-enter the right tracer around
-    every event), and both results are byte-identical to running the
-    studies back to back.
-    """
-
-    def __init__(self, static_study, dynamic_study, exec_config=None):
-        self.static = static_study
-        self.dynamic = dynamic_study
-        #: Governs workers/window/backend/retries for the shared pool;
-        #: each stage keeps its own study's chunk size.
-        self.exec_config = (exec_config if exec_config is not None
-                            else static_study.exec_config)
-        self.log = get_logger("core.interleave")
-
-    def run(self, max_apps=None, apps=None):
-        """Run both studies interleaved; returns (StudyResult, CrawlResult)."""
-        static_plan = self.static.stream_plan(max_apps=max_apps)
-        try:
-            crawl_plan = self.dynamic.stream_plan(apps=apps)
-        except BaseException as exc:
-            static_plan.abort(exc)
-            raise
-        result, crawl = run_plans([static_plan, crawl_plan],
-                                  self.exec_config, log=self.log)
-        self.static._finish_run(result, prepared=static_plan.prepared)
-        self.dynamic._finish_crawl(crawl)
-        return result, crawl
 
 
 def _abbrev(value):

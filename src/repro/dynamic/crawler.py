@@ -349,9 +349,7 @@ class AdbCrawler:
     def stream_plan(self, progress=None):
         """Open a crawl and return its :class:`CrawlStreamPlan`.
 
-        The plan's ``stage`` waits for a
-        :class:`~repro.exec.StreamScheduler` (possibly shared with other
-        studies' stages) and ``finalize`` closes the run.
+        The plan's ``run`` drains its ``stage`` and closes the run.
         """
         return CrawlStreamPlan(self, progress=progress)
 

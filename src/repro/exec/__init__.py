@@ -15,11 +15,10 @@ shard themselves with:
   and quarantine — whose stage a :class:`StreamScheduler` drains,
   in-process at one worker and on a process pool with a bounded
   in-flight chunk window otherwise. Results flow to consumers as they
-  complete, with round-robin chunk interleaving across stages,
-  cancel-and-split work stealing for straggler tails, and a
-  worker-death repair pass that bisects lost chunks and quarantines a
-  repeat offender into the drop taxonomy after ``REPRO_EXEC_RETRIES``
-  attempts.
+  complete, with cancel-and-split work stealing for straggler tails
+  and a worker-death repair pass that bisects lost chunks and
+  quarantines a repeat offender into the drop taxonomy after
+  ``ExecConfig.max_attempts`` attempts.
 - **result cache** (:mod:`repro.exec.cache`): :class:`AnalysisCache`, a
   two-tier LRU-bounded store — SHA-256-keyed per-APK outcomes on top of a
   corpus-wide content-addressed :class:`ClassFactsCache`, so repeated
@@ -62,14 +61,8 @@ from repro.exec.config import (
     ExecConfig,
     ExecConfigError,
     MAX_WORKERS_ENV_VAR,
-    RETRIES_ENV_VAR,
-    WINDOW_ENV_VAR,
 )
-from repro.exec.schedule import (
-    Schedule,
-    simulate_stream,
-    simulate_stream_chunks,
-)
+from repro.exec.schedule import Schedule, simulate_stream
 from repro.exec.stream import (
     OrderedFlush,
     StreamPlan,
@@ -79,7 +72,6 @@ from repro.exec.stream import (
     WORKER_LOST_SLUG,
     chain_results,
     process_backend_available,
-    run_plans,
 )
 
 __all__ = [
@@ -102,18 +94,14 @@ __all__ = [
     "MAX_WORKERS_ENV_VAR",
     "OrderedFlush",
     "PARSED_SCRIPT_KIND",
-    "RETRIES_ENV_VAR",
     "Schedule",
     "StreamPlan",
     "StreamScheduler",
     "StreamStage",
     "TaskOutcome",
-    "WINDOW_ENV_VAR",
     "WORKER_LOST_SLUG",
     "chain_results",
     "env_max_entries",
     "process_backend_available",
-    "run_plans",
     "simulate_stream",
-    "simulate_stream_chunks",
 ]

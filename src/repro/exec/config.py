@@ -13,10 +13,10 @@ byte-identical either way; the CI matrix runs a leg with it off to prove
 it. It does not gate the per-APK outcome tier or the longitudinal
 ``RunStore``, which incremental runs depend on.
 
-``REPRO_EXEC_WINDOW`` overrides the in-flight chunk window (default
-``2 * max_workers``) of the streaming scheduler
-(:mod:`repro.exec.stream`), and ``REPRO_EXEC_RETRIES`` is the per-shard
-retry budget before a lost task is quarantined into the drop taxonomy.
+The ``window`` and ``max_attempts`` arguments (no environment variable)
+set the streaming scheduler's (:mod:`repro.exec.stream`) in-flight chunk
+window, default ``2 * max_workers``, and the per-shard retry budget
+before a lost task is quarantined into the drop taxonomy.
 """
 
 import os
@@ -25,8 +25,6 @@ MAX_WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
 CHUNK_SIZE_ENV_VAR = "REPRO_CHUNK_SIZE"
 BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
 CACHE_ENV_VAR = "REPRO_CACHE"
-WINDOW_ENV_VAR = "REPRO_EXEC_WINDOW"
-RETRIES_ENV_VAR = "REPRO_EXEC_RETRIES"
 
 BACKEND_AUTO = "auto"
 BACKEND_INLINE = "inline"
@@ -74,16 +72,17 @@ class ExecConfig:
     ``max_workers`` bounds concurrency, ``chunk_size`` is how many tasks
     ride in one worker dispatch, and the in-flight window (submitted but
     unfinished chunks) defaults to ``2 * max_workers`` so arbitrarily
-    large corpora never pile up in the executor's queue
-    (``REPRO_EXEC_WINDOW`` / ``window=`` override it). ``max_attempts``
-    bounds the :mod:`repro.exec.stream` scheduler's repair retries per
-    lost shard. One worker runs in-process; more run on a process pool
-    unless ``backend`` pins one. ``cache`` gates the content-addressed
-    tiers (``REPRO_CACHE``; see the module docstring).
+    large corpora never pile up in the executor's queue (``window=``
+    overrides it). ``max_attempts`` bounds the :mod:`repro.exec.stream`
+    scheduler's repair retries per lost shard. One worker runs
+    in-process; more run on a process pool unless ``backend`` pins one.
+    ``cache`` gates the content-addressed tiers (``REPRO_CACHE``; see
+    the module docstring).
     """
 
     def __init__(self, max_workers=None, chunk_size=None, backend=None,
-                 cache=None, window=None, max_attempts=None):
+                 cache=None, window=None,
+                 max_attempts=DEFAULT_MAX_ATTEMPTS):
         if max_workers is None:
             max_workers = _env_int(MAX_WORKERS_ENV_VAR, 1)
         if chunk_size is None:
@@ -92,10 +91,6 @@ class ExecConfig:
             backend = os.environ.get(BACKEND_ENV_VAR, BACKEND_AUTO)
         if cache is None:
             cache = _env_flag(CACHE_ENV_VAR, True)
-        if window is None:
-            window = _env_int(WINDOW_ENV_VAR, None)
-        if max_attempts is None:
-            max_attempts = _env_int(RETRIES_ENV_VAR, DEFAULT_MAX_ATTEMPTS)
         if max_workers < 1:
             raise ExecConfigError("max_workers must be >= 1, got %d"
                                   % max_workers)
@@ -133,7 +128,7 @@ class ExecConfig:
 
         Defaults to ``2 * max_workers`` — enough submitted-ahead work to
         keep every worker busy between drain cycles — and can be pinned
-        explicitly via ``REPRO_EXEC_WINDOW`` or the ``window`` argument.
+        explicitly via the ``window`` argument.
         """
         if self._window is not None:
             return self._window

@@ -14,7 +14,7 @@ FIFO drain: each chunk runs on the earliest-free worker.
 The result is a pure function of the costs, so per-worker busy times,
 steal counts and the reported parallel speedup — ``total work /
 critical path`` — stay byte-identical between identical runs no matter
-how the actual pool interleaved.
+in which order the actual pool completed chunks.
 """
 
 import heapq
@@ -63,50 +63,31 @@ class Schedule:
 
 
 def simulate_stream(costs, max_workers, chunk_size, steal=True):
-    """Replay ``costs`` split into consecutive ``chunk_size`` chunks.
-
-    Convenience wrapper over :func:`simulate_stream_chunks`, chunking
-    the costs exactly as a single-stage run dispatches its tasks.
-    """
-    if chunk_size < 1:
-        raise ExecConfigError(
-            "simulate_stream needs chunk_size >= 1, got %d" % chunk_size
-        )
-    chunks = [costs[start:start + chunk_size]
-              for start in range(0, len(costs), chunk_size)]
-    return simulate_stream_chunks(chunks, max_workers, steal=steal,
-                                  chunk_size=chunk_size)
-
-
-def simulate_stream_chunks(chunks, max_workers, steal=True, chunk_size=None):
     """Event-driven replay of the streaming scheduler's policy.
 
-    ``chunks`` is a list of cost lists in dispatch order — heterogeneous
-    sizes are fine, which is how interleaved multi-study runs are
-    modeled (each stage contributes its own chunks to one queue). A free
+    ``costs`` are per-task costs in task order, queued as consecutive
+    ``chunk_size`` chunks exactly as a run dispatches its tasks. A free
     worker takes the next queued chunk and runs its tasks consecutively;
     when the queue is dry and ``steal`` is on, an idle worker steals the
     tail half of the unstarted tasks of the most-loaded worker (ties
     break on the lowest worker index). Deterministic: all ties break on
     (time, worker index).
 
-    Returns a :class:`Schedule` whose ``assignments`` are flat and
-    follow chunk order.
+    Returns a :class:`Schedule` whose ``assignments`` follow task order.
     """
+    if chunk_size < 1:
+        raise ExecConfigError(
+            "simulate_stream needs chunk_size >= 1, got %d" % chunk_size
+        )
     if max_workers < 1:
         raise ExecConfigError(
             "simulate_stream needs max_workers >= 1, got %d" % max_workers
         )
-    # Flatten to (flat task index, cost); each chunk keeps its identity
-    # as one entry of the FIFO queue.
-    queue = deque()
-    flat = 0
-    for chunk in chunks:
-        if chunk:
-            queue.append([(flat + offset, cost)
-                          for offset, cost in enumerate(chunk)])
-            flat += len(chunk)
-    assignments = [None] * flat
+    # Each chunk of (task index, cost) pairs is one FIFO queue entry.
+    tasks = list(enumerate(costs))
+    queue = deque(tasks[start:start + chunk_size]
+                  for start in range(0, len(tasks), chunk_size))
+    assignments = [None] * len(tasks)
     busy = [0.0] * max_workers
 
     #: Per-worker list of unstarted (index, cost) tasks.
@@ -158,7 +139,5 @@ def simulate_stream_chunks(chunks, max_workers, steal=True, chunk_size=None):
         while idle:
             heapq.heappush(events, (finish, idle.pop()))
 
-    if chunk_size is None:
-        chunk_size = max((len(chunk) for chunk in chunks), default=1)
     return Schedule(max_workers, chunk_size, assignments, busy, makespan,
                     steals)

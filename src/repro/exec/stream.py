@@ -1,4 +1,4 @@
-"""Streaming DAG scheduler: stages flow into consumers as results land.
+"""Streaming DAG scheduler: a stage flows into its consumers as results land.
 
 Every sharded workload runs here. A study opens a :class:`StreamPlan`,
 whose :class:`StreamStage` a :class:`StreamScheduler` drains; the plan
@@ -11,11 +11,8 @@ then finalizes the run:
   selection-order aggregation the byte-identity contract depends on),
   plain consumers see outcomes in completion order (checkpoints and
   progress reporters).
-- :class:`StreamScheduler` drains any number of stages through one
-  shared worker pool — in-process at one worker, a process pool
-  otherwise — round-robin interleaving their chunks so a mixed
-  static+dynamic workload keeps every worker busy while one study's
-  straggler runs.
+- :class:`StreamScheduler` drains one stage in ``ExecConfig.chunk_size``
+  chunks — in-process at one worker, on a process pool otherwise.
 - **Work stealing**: when the submit queue runs dry and workers idle,
   the largest still-queued multi-task chunk is cancelled, split in
   half, and re-dispatched — the tail of a run parallelizes instead of
@@ -33,13 +30,13 @@ then finalizes the run:
   and quarantine. A workload subclasses it and supplies only its tasks,
   a task function, a merge callback, a lost-task outcome and a result.
 
-Determinism: per-stage results are delivered to ordered consumers in
-task order no matter how chunks complete, steal, or repair, so study
-results are byte-identical at any worker count and backend. Execution
-*metrics* never come from live scheduling — they are replayed from
-:func:`repro.exec.schedule.simulate_stream_chunks` over measured task
-costs (see :meth:`StreamScheduler.simulate`), so steal counts, worker
-attribution and critical paths are pure functions of the costs.
+Determinism: results are delivered to ordered consumers in task order
+no matter how chunks complete, steal, or repair, so study results are
+byte-identical at any worker count and backend. Execution *metrics*
+never come from live scheduling — they are replayed from
+:func:`repro.exec.schedule.simulate_stream` over measured task costs
+(see :meth:`StreamPlan.run`), so steal counts, worker attribution and
+critical paths are pure functions of the costs.
 """
 
 import concurrent.futures
@@ -50,7 +47,7 @@ from concurrent.futures import BrokenExecutor
 
 from repro.errors import WorkerLostError, error_slug
 from repro.exec.config import BACKEND_PROCESS
-from repro.exec.schedule import simulate_stream_chunks
+from repro.exec.schedule import simulate_stream
 from repro.obs import (
     DROPS_METRIC,
     EXEC_BACKEND_METRIC,
@@ -151,23 +148,17 @@ class StreamStage:
     the process backend. ``on_lost`` maps a task to a synthetic outcome
     when the task is quarantined after repeated worker death; without
     one, quarantine raises :class:`~repro.errors.WorkerLostError`.
-    ``chunk_size`` overrides the scheduler config's chunk size for this
-    stage (per-app crawl shards ride one per dispatch, static tasks ride
-    eight). ``context`` is an optional zero-argument context-manager
-    factory the scheduler enters around every inline task execution and
-    every consumer delivery for this stage — how a study keeps its own
-    tracer/log context active per event while sharing the scheduler
-    with another study, instead of holding a contextvar across the
-    interleaved run.
+    ``context`` is an optional zero-argument context-manager factory the
+    scheduler enters around every inline task execution and every
+    consumer delivery — how a study keeps its own tracer/log context
+    active per event instead of holding a contextvar across the run.
     """
 
-    def __init__(self, name, tasks, fn, on_lost=None, chunk_size=None,
-                 context=None):
+    def __init__(self, name, tasks, fn, on_lost=None, context=None):
         self.name = name
         self.tasks = list(tasks)
         self.fn = fn
         self.on_lost = on_lost
-        self.chunk_size = chunk_size
         self.context = context
         self._ordered = []
         self._sinks = []
@@ -195,20 +186,19 @@ def _run_stream_chunk(fn, tasks):
 
 
 class _Chunk:
-    """A dispatchable slice of one stage's tasks, with repair history."""
+    """A dispatchable slice of the stage's tasks, with repair history."""
 
-    __slots__ = ("stage", "indices", "attempts")
+    __slots__ = ("indices", "attempts")
 
-    def __init__(self, stage, indices, attempts=0):
-        self.stage = stage
+    def __init__(self, indices, attempts=0):
         self.indices = indices
         self.attempts = attempts
 
     def split(self):
         mid = len(self.indices) // 2
         return (
-            _Chunk(self.stage, self.indices[:mid], self.attempts),
-            _Chunk(self.stage, self.indices[mid:], self.attempts),
+            _Chunk(self.indices[:mid], self.attempts),
+            _Chunk(self.indices[mid:], self.attempts),
         )
 
 
@@ -218,57 +208,46 @@ def _flush_ordered(stage, index, outcome):
             callback(index, outcome)
 
 
-class _StageState:
-    """Per-stage delivery bookkeeping inside one scheduler run.
-
-    The flush callback closes over the stage, never over this state, so
-    a finished run's results are freed by reference counting alone.
-    """
-
-    __slots__ = ("stage", "results", "flush")
-
-    def __init__(self, stage):
-        self.stage = stage
-        self.results = [None] * len(stage.tasks)
-        self.flush = OrderedFlush(functools.partial(_flush_ordered, stage))
-
-
 class StreamScheduler:
-    """Drain every stage's tasks through one shared worker pool.
+    """Drain one stage's tasks through a worker pool.
 
     ``config`` is an :class:`~repro.exec.ExecConfig`; its worker count,
-    window, backend and ``max_attempts`` govern the whole run, while
-    each stage may pin its own chunk size. After :meth:`run`,
-    ``chunk_plan`` records the initial dispatch order (the input to
-    :meth:`simulate`), and ``repaired_chunks`` / ``quarantined_tasks`` /
-    ``steal_attempts`` count what the repair and steal machinery
-    actually did (fault- and timing-dependent, so they feed run-report
-    counters but never the deterministic schedule metrics).
+    chunk size, window, backend and ``max_attempts`` govern the run.
+    After :meth:`run`, ``repaired_chunks`` / ``quarantined_tasks`` count
+    what the repair machinery actually did (fault- and timing-dependent,
+    so they feed run-report counters but never the deterministic
+    schedule metrics).
     """
 
     def __init__(self, config, log=None):
         self.config = config
         self.log = log
-        #: Initial dispatch order: (stage index, task indices) pairs.
-        self.chunk_plan = []
         self.repaired_chunks = 0
         self.quarantined_tasks = 0
-        self.steal_attempts = 0
 
-    # -- public API ----------------------------------------------------------
+    def run(self, stage):
+        """Execute ``stage``; returns its outcomes in task order.
 
-    def run(self, stages):
-        """Execute every stage; returns per-stage outcome lists.
-
-        The return value is a list aligned with ``stages``; entry *i* is
-        ``stages[i]``'s outcomes in task order. On the process backend
-        the pool's workers have exited by the time this returns.
+        On the process backend the pool's workers have exited by the
+        time this returns.
         """
-        stages = list(stages)
-        states = [_StageState(stage) for stage in stages]
-        queue = self._build_queue(stages)
-        self.chunk_plan = [(chunk.stage, list(chunk.indices))
-                           for chunk in queue]
+        results = [None] * len(stage.tasks)
+        flush = OrderedFlush(functools.partial(_flush_ordered, stage))
+
+        def deliver(chunk, outcomes):
+            for index, outcome in zip(chunk.indices, outcomes):
+                results[index] = outcome
+                if stage._sinks:
+                    with stage._enter():
+                        for sink in stage._sinks:
+                            sink(outcome)
+                flush.push(index, outcome)
+
+        size = self.config.chunk_size
+        queue = [
+            _Chunk(list(range(start, min(start + size, len(stage.tasks)))))
+            for start in range(0, len(stage.tasks), size)
+        ]
         backend = self.config.resolved_backend
         if backend == BACKEND_PROCESS and not process_backend_available():
             if self.log is not None:
@@ -276,87 +255,28 @@ class StreamScheduler:
                                  fallback="inline")
             backend = None
         if backend == BACKEND_PROCESS and queue:
-            self._run_process(stages, states, queue)
+            self._run_process(stage, deliver, queue)
         else:
-            self._run_inline(stages, states, queue)
-        for state in states:
-            missing = [i for i, out in enumerate(state.results) if out is None]
-            if missing:
-                raise WorkerLostError(
-                    "stage %r finished with undelivered tasks %r"
-                    % (state.stage.name, missing[:5])
-                )
-        return [state.results for state in states]
-
-    def simulate(self, stage_costs):
-        """Deterministic schedule replay of this run's dispatch order.
-
-        ``stage_costs`` is one cost list per stage (task order). Returns
-        ``(schedule, assignments)`` where ``schedule`` is the
-        :class:`~repro.exec.schedule.Schedule` of the initial chunk plan
-        and ``assignments`` maps each stage index to its per-task worker
-        list — what the plans stamp onto outcomes and replayed spans. A
-        pure function of the costs and plan, so exec metrics stay
-        byte-identical between identical runs however the live pool
-        interleaved, stole, or repaired.
-        """
-        chunks = [[stage_costs[stage][i] for i in indices]
-                  for stage, indices in self.chunk_plan]
-        schedule = simulate_stream_chunks(
-            chunks, self.config.max_workers,
-            chunk_size=self.config.chunk_size,
-        )
-        assignments = {stage: [None] * len(costs)
-                       for stage, costs in enumerate(stage_costs)}
-        flat = 0
-        for stage, indices in self.chunk_plan:
-            for index in indices:
-                assignments[stage][index] = schedule.assignments[flat]
-                flat += 1
-        return schedule, assignments
+            self._run_inline(stage, deliver, queue)
+        missing = [i for i, out in enumerate(results) if out is None]
+        if missing:
+            raise WorkerLostError(
+                "stage %r finished with undelivered tasks %r"
+                % (stage.name, missing[:5])
+            )
+        return results
 
     # -- dispatch ------------------------------------------------------------
 
-    def _build_queue(self, stages):
-        """Round-robin interleave every stage's chunks into one queue."""
-        per_stage = []
-        for position, stage in enumerate(stages):
-            size = stage.chunk_size or self.config.chunk_size
-            per_stage.append([
-                _Chunk(position, list(range(start,
-                                            min(start + size,
-                                                len(stage.tasks)))))
-                for start in range(0, len(stage.tasks), size)
-            ])
-        queue = []
-        for round_index in range(max((len(c) for c in per_stage), default=0)):
-            for chunks in per_stage:
-                if round_index < len(chunks):
-                    queue.append(chunks[round_index])
-        return queue
-
-    def _deliver(self, stages, states, chunk, outcomes):
-        stage = stages[chunk.stage]
-        state = states[chunk.stage]
-        for index, outcome in zip(chunk.indices, outcomes):
-            state.results[index] = outcome
-            if stage._sinks:
-                with stage._enter():
-                    for sink in stage._sinks:
-                        sink(outcome)
-            state.flush.push(index, outcome)
-
-    def _run_inline(self, stages, states, queue):
+    def _run_inline(self, stage, deliver, queue):
         for chunk in queue:
-            stage = stages[chunk.stage]
             outcomes = []
             for index in chunk.indices:
                 with stage._enter():
                     outcomes.append(stage.fn(stage.tasks[index]))
-            self._deliver(stages, states, chunk, outcomes)
+            deliver(chunk, outcomes)
 
-    def _run_process(self, stages, states, queue):
-        queue = list(queue)
+    def _run_process(self, stage, deliver, queue):
         #: Chunks lost to a pool break, awaiting the isolation repair
         #: pass. A break implicates every in-flight chunk collectively,
         #: so blame can only be assigned by re-running suspects one at a
@@ -368,7 +288,7 @@ class StreamScheduler:
         try:
             while queue or pending or suspects:
                 if suspects:
-                    executor = self._isolate(stages, states, suspects,
+                    executor = self._isolate(stage, deliver, suspects,
                                              executor)
                     continue
                 try:
@@ -377,7 +297,6 @@ class StreamScheduler:
                         # executor must leave the chunk in the queue for
                         # the repair pass.
                         chunk = queue[0]
-                        stage = stages[chunk.stage]
                         tasks = [stage.tasks[i] for i in chunk.indices]
                         future = executor.submit(_run_stream_chunk,
                                                  stage.fn, tasks)
@@ -396,7 +315,7 @@ class StreamScheduler:
                         # pass collects the lost chunks.
                         outcomes = future.result()
                         del pending[future]
-                        self._deliver(stages, states, chunk, outcomes)
+                        deliver(chunk, outcomes)
                     if not queue:
                         self._try_steal(queue, pending)
                 except BrokenExecutor:
@@ -417,7 +336,7 @@ class StreamScheduler:
         # is accounted to this process's reaped children).
         executor.shutdown(wait=True)
 
-    def _isolate(self, stages, states, suspects, executor):
+    def _isolate(self, stage, deliver, suspects, executor):
         """Re-run one suspect chunk with nothing else in flight.
 
         Success clears the suspect and delivers its results; a repeat
@@ -426,16 +345,15 @@ class StreamScheduler:
         executor.
         """
         chunk = suspects.pop(0)
-        stage = stages[chunk.stage]
         tasks = [stage.tasks[i] for i in chunk.indices]
         try:
             outcomes = executor.submit(_run_stream_chunk,
                                        stage.fn, tasks).result()
         except BrokenExecutor:
             executor.shutdown(wait=False, cancel_futures=True)
-            self._repair(stages, states, chunk, suspects)
+            self._repair(stage, deliver, chunk, suspects)
             return self._new_executor()
-        self._deliver(stages, states, chunk, outcomes)
+        deliver(chunk, outcomes)
         return executor
 
     def _new_executor(self):
@@ -469,12 +387,10 @@ class StreamScheduler:
                 first, second = chunk.split()
                 queue.insert(0, second)
                 queue.insert(0, first)
-                self.steal_attempts += 1
                 return
 
-    def _repair(self, stages, states, chunk, suspects):
+    def _repair(self, stage, deliver, chunk, suspects):
         """One isolated chunk proved guilty: bisect toward quarantine."""
-        stage = stages[chunk.stage]
         attempts = chunk.attempts + 1
         if len(chunk.indices) > 1:
             # Bisect: the poisoned task is cornered in log2(chunk)
@@ -486,7 +402,7 @@ class StreamScheduler:
             suspects.insert(0, first)
             self.repaired_chunks += 2
         elif attempts < self.config.max_attempts:
-            suspects.insert(0, _Chunk(chunk.stage, chunk.indices, attempts))
+            suspects.insert(0, _Chunk(chunk.indices, attempts))
             self.repaired_chunks += 1
         else:
             index = chunk.indices[0]
@@ -502,7 +418,7 @@ class StreamScheduler:
             if self.log is not None:
                 self.log.warning("task_quarantined", stage=stage.name,
                                  index=index, attempts=attempts)
-            self._deliver(stages, states, chunk, [outcome])
+            deliver(chunk, [outcome])
 
 
 # -- the shared shard lifecycle ------------------------------------------------
@@ -550,17 +466,19 @@ class StreamPlan:
     :meth:`prepare` for the tasks (plus any cache-served outcomes),
     enters the ``execute`` span and builds :attr:`stage`. Both spans are
     held open on the study's own tracer — never through an ambient
-    contextvar — so several plans can share one scheduler. As outcomes
-    stream in, the plan merges them in exact selection order: it replays
-    each task's exported span trees under ``execute``, counts a drop for
-    every failed outcome and hands the outcome to :meth:`merge`.
-    :meth:`finalize` stamps worker attribution from the shared schedule
-    replay, records exec and scheduler metrics (plus the selection-order
-    digest replay of a per-class cache, when the workload has one),
-    closes both spans and returns :meth:`build_result`. If anything
-    raises, :meth:`abort` closes the open spans with error status.
-    Either way the plan then drops its stage and outcomes, so a finished
-    run is freed by reference counting alone.
+    contextvar — and the stage's ``context`` re-activates the study's
+    bundle around each event. As outcomes stream in, the plan merges
+    them in exact selection order: it replays each task's exported span
+    trees under ``execute``, counts a drop for every failed outcome and
+    hands the outcome to :meth:`merge`. :meth:`run` drains the stage and
+    replays its schedule; :meth:`finalize` stamps worker attribution
+    from that replay, records exec and scheduler metrics (plus the
+    selection-order digest replay of a per-class cache, when the
+    workload has one), closes both spans and returns
+    :meth:`build_result`. If anything raises, :meth:`abort` closes the
+    open spans with error status. Either way the plan then drops its
+    stage and outcomes, so a finished run is freed by reference counting
+    alone.
 
     A workload subclasses this, sets :attr:`name` (the stage name and the
     ``stage`` log label) and :attr:`root`, and supplies :meth:`prepare`,
@@ -608,7 +526,7 @@ class StreamPlan:
                 self.outcomes = [None] * (len(tasks) + len(served))
                 self.stage = StreamStage(
                     self.name, tasks, self.task_fn(), on_lost=self._on_lost,
-                    chunk_size=self.config.chunk_size, context=self._context,
+                    context=self._context,
                 )
                 self.stage.consume_ordered(self._on_ordered)
                 self.stage.consume(sinks)
@@ -656,25 +574,38 @@ class StreamPlan:
     # -- running ---------------------------------------------------------------
 
     def run(self):
-        """Execute this plan alone on a fresh scheduler; returns the result."""
-        return run_plans([self], self.config, log=self.log)[0]
+        """Execute this plan on a fresh scheduler; returns the result.
+
+        The schedule replay over the measured costs is a pure function
+        of them, so exec metrics stay byte-identical between identical
+        runs however the live pool completed, stole, or repaired.
+        """
+        scheduler = StreamScheduler(self.config, log=self.log)
+        try:
+            scheduler.run(self.stage)
+            schedule = simulate_stream(self.costs(), self.config.max_workers,
+                                       self.config.chunk_size)
+        except BaseException as exc:
+            self.abort(exc)
+            raise
+        return self.finalize(scheduler, schedule)
 
     def costs(self):
         """Measured per-task costs, in task order (the simulate input)."""
         return [outcome.cost for outcome in self.executed]
 
-    def finalize(self, scheduler, schedule, assignments):
+    def finalize(self, scheduler, schedule):
         """Close the run and return its result.
 
-        ``schedule`` is the (possibly shared) simulated schedule and
-        ``assignments`` this stage's per-task workers, both from
-        :meth:`StreamScheduler.simulate`.
+        ``schedule`` is the :class:`~repro.exec.schedule.Schedule`
+        replayed over :meth:`costs`; its ``assignments`` are the
+        per-task workers stamped onto outcomes and replayed spans.
         """
         try:
             with self._context():
                 self._exit()  # execute
-                self._assign_workers(assignments)
-                self._record_exec_metrics(scheduler, schedule, assignments)
+                self._assign_workers(schedule.assignments)
+                self._record_exec_metrics(scheduler, schedule)
                 self._record_digest_metrics()
                 self._record_eviction_metrics()
                 result = self.build_result()
@@ -762,13 +693,14 @@ class StreamPlan:
             for root in self._parked.pop(outcome.position, ()):
                 root.set_attribute("worker", label)
 
-    def _record_exec_metrics(self, scheduler, schedule, assignments):
+    def _record_exec_metrics(self, scheduler, schedule):
         """Deterministic execution metrics plus scheduler health counters.
 
-        Worker busy time is this stage's own share of the (possibly
-        shared) schedule; the makespan and steal count are shared
-        figures. Repair and quarantine counts are what the live repair
-        pass actually did (nonzero only under worker faults).
+        Worker busy time is summed in task order from the schedule's
+        assignments, not taken from ``schedule.worker_busy``, which sums
+        in event order and so may differ in the last bits. Repair and
+        quarantine counts are what the live repair pass actually did
+        (nonzero only under worker faults).
         """
         config = self.config
         obs = self.obs
@@ -797,7 +729,7 @@ class StreamPlan:
             else:
                 tasks.labels(status="ok").inc()
         busy = [0.0] * config.max_workers
-        for worker, cost in zip(assignments, self.costs()):
+        for worker, cost in zip(schedule.assignments, self.costs()):
             busy[worker] += cost
         busy_counter = obs.counter(
             EXEC_WORKER_BUSY_METRIC,
@@ -878,24 +810,3 @@ class StreamPlan:
             delta = cache.evictions - self._evictions[tier]
             if delta:
                 counter.labels(tier=tier).inc(delta)
-
-
-def run_plans(plans, config, log=None):
-    """Drain every plan's stage through one scheduler; finalize each.
-
-    One shared schedule replay attributes workers and makespan across
-    the stages. Returns the plans' results, in order. If anything
-    raises, every plan still open closes its spans with the error.
-    """
-    scheduler = StreamScheduler(config, log=log)
-    try:
-        scheduler.run([plan.stage for plan in plans])
-        schedule, per_stage = scheduler.simulate(
-            [plan.costs() for plan in plans]
-        )
-        return [plan.finalize(scheduler, schedule, per_stage[position])
-                for position, plan in enumerate(plans)]
-    except BaseException as exc:
-        for plan in plans:
-            plan.abort(exc)
-        raise

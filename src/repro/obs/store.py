@@ -311,12 +311,14 @@ def _cmd_show(store, args):
 def _cmd_flamegraph(store, args):
     run_id = args.run_id
     if run_id is None:
-        runs = store.last_runs(args.kind) if args.kind else None
+        if args.kind:
+            runs = store.last_runs(args.kind, limit=1)
+            missing = "no runs of kind %r recorded" % args.kind
+        else:
+            runs = [r["run_id"] for r in store.list_runs()][-1:]
+            missing = "no runs recorded"
         if not runs:
-            ids = [r["run_id"] for r in store.list_runs()]
-            runs = ids[::-1]
-        if not runs:
-            print("no runs recorded", file=sys.stderr)
+            print(missing, file=sys.stderr)
             return 1
         run_id = runs[0]
     roots = store.load_spans(run_id)

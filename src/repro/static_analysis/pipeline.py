@@ -456,9 +456,8 @@ class StaticAnalysisPipeline:
     def stream_plan(self, max_apps=None, progress=None):
         """Open a run and return its :class:`PipelineStreamPlan`.
 
-        Selection and download happen now; the plan's ``stage`` waits
-        for a :class:`~repro.exec.StreamScheduler` (possibly shared with
-        other studies' stages) and ``finalize`` closes the run.
+        Selection and download happen now; the plan's ``run`` drains its
+        ``stage`` and closes the run.
         """
         return PipelineStreamPlan(self, max_apps=max_apps, progress=progress)
 

@@ -12,13 +12,12 @@ from repro.exec import (
     BACKEND_INLINE,
     BACKEND_PROCESS,
     CHUNK_SIZE_ENV_VAR,
+    DEFAULT_MAX_ATTEMPTS,
     ExecConfig,
     ExecConfigError,
     MAX_WORKERS_ENV_VAR,
-    RETRIES_ENV_VAR,
     StreamScheduler,
     StreamStage,
-    WINDOW_ENV_VAR,
     chain_results,
     process_backend_available,
     simulate_stream,
@@ -72,30 +71,25 @@ class TestExecConfig:
         with pytest.raises(ExecConfigError):
             ExecConfig()
 
-    def test_window_env_override(self, monkeypatch):
-        monkeypatch.setenv(WINDOW_ENV_VAR, "5")
-        assert ExecConfig(max_workers=3).window == 5
-
     def test_window_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(WINDOW_ENV_VAR, "5")
-        assert ExecConfig(max_workers=3, window=9).window == 9
+        # The env-sized pool sets the default window; the argument pins it.
+        monkeypatch.setenv(MAX_WORKERS_ENV_VAR, "5")
+        assert ExecConfig().window == 10
+        assert ExecConfig(window=9).window == 9
 
-    def test_window_validation(self, monkeypatch):
+    def test_window_validation(self):
         with pytest.raises(ExecConfigError):
             ExecConfig(window=0)
-        monkeypatch.setenv(WINDOW_ENV_VAR, "0")
-        with pytest.raises(ExecConfigError):
-            ExecConfig()
-        monkeypatch.setenv(WINDOW_ENV_VAR, "wide")
-        with pytest.raises(ExecConfigError):
-            ExecConfig()
 
     def test_retries_env_and_validation(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV_VAR, "5")
-        assert ExecConfig().max_attempts == 5
-        monkeypatch.setenv(RETRIES_ENV_VAR, "0")
+        # The retry budget is the argument's or the default, whatever
+        # the pool-sizing environment says.
+        monkeypatch.setenv(MAX_WORKERS_ENV_VAR, "4")
+        monkeypatch.setenv(CHUNK_SIZE_ENV_VAR, "3")
+        assert ExecConfig().max_attempts == DEFAULT_MAX_ATTEMPTS
+        assert ExecConfig(max_attempts=5).max_attempts == 5
         with pytest.raises(ExecConfigError):
-            ExecConfig()
+            ExecConfig(max_attempts=0)
 
 
 class TestAnalysisCache:
@@ -189,7 +183,7 @@ def _run(config, tasks, fn, sink=None):
     """Drain one stage; returns (its outcomes, the scheduler)."""
     stage = StreamStage("s", tasks, fn).consume(sink)
     scheduler = StreamScheduler(config)
-    return scheduler.run([stage])[0], scheduler
+    return scheduler.run(stage), scheduler
 
 
 class TestWorkerPools:
@@ -240,7 +234,7 @@ class TestWorkerPools:
         scheduler = StreamScheduler(
             ExecConfig(max_workers=4, backend=BACKEND_PROCESS), log=Log()
         )
-        assert scheduler.run([stage]) == [[os.getpid(), os.getpid()]]
+        assert scheduler.run(stage) == [os.getpid(), os.getpid()]
         assert events == ["process_backend_unavailable"]
 
 

@@ -258,6 +258,19 @@ class TestCli:
         assert folded == perf.flamegraph(store.load_spans(run_id))
         assert "run;execute;analyze_app" in folded
 
+    def test_flamegraph_kind_never_folds_another_kind(self, tmp_path,
+                                                      capsys):
+        db = str(tmp_path / "t.db")
+        TelemetryStore(db).record_run(sample_obs(), "static")
+        out_path = tmp_path / "run.folded"
+        args = ["--db", db, "flamegraph", "--out", str(out_path), "--kind"]
+        assert main(args + ["longitudinal"]) == 1
+        assert not out_path.exists()
+        assert ("no runs of kind 'longitudinal' recorded"
+                in capsys.readouterr().err)
+        assert main(args + ["static"]) == 0
+        assert "run;execute;analyze_app" in out_path.read_text()
+
     def test_no_db_anywhere_exits(self, monkeypatch):
         monkeypatch.delenv(OBS_DB_ENV_VAR, raising=False)
         with pytest.raises(SystemExit):

@@ -1,12 +1,11 @@
 """Tests for the streaming DAG scheduler (repro.exec.stream).
 
-Covers the scheduler machinery itself (ordered delivery, interleaving,
-steal/repair/quarantine under injected worker death) and the study-level
-contract on the one executor: one inline worker and N process workers —
-including a mixed static+dynamic run through one shared scheduler —
-give byte-identical results, a raising run closes its spans, worker
-death is quarantined in every sharded workload, and a finished run is
-freed by reference counting alone.
+Covers the scheduler machinery itself (ordered delivery, the schedule
+replay, steal/repair/quarantine under injected worker death) and the
+study-level contract on the one executor: one inline worker and N
+process workers give byte-identical results, a raising run closes its
+spans, worker death is quarantined in every sharded workload, and a
+finished run is freed by reference counting alone.
 """
 
 import gc
@@ -39,7 +38,14 @@ from repro.exec import (
     simulate_stream,
 )
 from repro.impact import ImpactCensus
-from repro.obs import DROPS_METRIC, EXEC_TASKS_QUARANTINED_METRIC, Obs, Span
+from repro.obs import (
+    DROPS_METRIC,
+    EXEC_CRITICAL_PATH_METRIC,
+    EXEC_STEALS_METRIC,
+    EXEC_TASKS_QUARANTINED_METRIC,
+    Obs,
+    Span,
+)
 from repro.static_analysis import StaticAnalysisPipeline
 from repro.web.sites import top_sites
 
@@ -109,30 +115,21 @@ def _tag(task):
 
 class TestStreamSchedulerInline:
     def test_ordered_consumers_see_task_order(self):
-        stage = StreamStage("s", list(range(10)), _tag, chunk_size=3)
+        stage = StreamStage("s", list(range(10)), _tag)
         order = []
         stage.consume_ordered(lambda i, out: order.append(i))
         scheduler = StreamScheduler(ExecConfig(max_workers=1, chunk_size=3))
-        results = scheduler.run([stage])
+        results = scheduler.run(stage)
         assert order == list(range(10))
-        assert results[0] == [("done", t) for t in range(10)]
+        assert results == [("done", t) for t in range(10)]
 
     def test_sinks_see_every_outcome(self):
         stage = StreamStage("s", [1, 2, 3], _tag)
         seen = []
         stage.consume(seen.append)
         stage.consume(None)  # Nones are ignored, like chain_results
-        StreamScheduler(ExecConfig(max_workers=1)).run([stage])
+        StreamScheduler(ExecConfig(max_workers=1)).run(stage)
         assert sorted(seen) == [("done", 1), ("done", 2), ("done", 3)]
-
-    def test_round_robin_interleaves_stage_chunks(self):
-        fast = StreamStage("fast", list(range(4)), _tag, chunk_size=2)
-        slow = StreamStage("slow", list(range(6)), _tag, chunk_size=3)
-        scheduler = StreamScheduler(ExecConfig(max_workers=1, chunk_size=8))
-        scheduler.run([fast, slow])
-        # Dispatch alternates fast/slow chunks instead of draining one
-        # stage before starting the other.
-        assert [stage for stage, _ in scheduler.chunk_plan] == [0, 1, 0, 1]
 
     def test_per_event_context_wraps_tasks_and_deliveries(self):
         import contextlib
@@ -146,26 +143,30 @@ class TestStreamSchedulerInline:
 
         stage = StreamStage("s", [1, 2], _tag, context=ctx)
         stage.consume_ordered(lambda i, out: None)
-        StreamScheduler(ExecConfig(max_workers=1)).run([stage])
+        StreamScheduler(ExecConfig(max_workers=1)).run(stage)
         # One enter per task execution plus one per ordered flush batch.
         assert len(entries) >= 2
 
-    def test_simulate_assigns_every_task_a_worker(self):
-        stages = [
-            StreamStage("a", list(range(7)), _tag, chunk_size=2),
-            StreamStage("b", list(range(3)), _tag, chunk_size=1),
-        ]
-        scheduler = StreamScheduler(ExecConfig(max_workers=2, chunk_size=4,
-                                               backend="inline"))
-        scheduler.run(stages)
-        schedule, assignments = scheduler.simulate(
-            [[1.0] * 7, [2.0] * 3]
-        )
-        assert sorted(assignments) == [0, 1]
-        assert all(w is not None for w in assignments[0])
-        assert all(w is not None for w in assignments[1])
-        assert len(assignments[0]) == 7 and len(assignments[1]) == 3
-        assert schedule.critical_path > 0
+    def test_replay_uses_the_plans_chunk_size(self):
+        # Two simulated workers on the inline backend: worker attribution
+        # and the exec metrics come from replaying the measured costs in
+        # the plan's own chunk size, whatever the live run did.
+        corpus = generate_corpus(CorpusConfig(universe_size=2_500, seed=4242))
+        config = ExecConfig(max_workers=2, chunk_size=3, backend="inline")
+        pipeline = StaticAnalysisPipeline(corpus, obs=Obs(),
+                                          exec_config=config,
+                                          cache=AnalysisCache())
+        outcomes = []
+        pipeline.checkpoint = outcomes.append
+        pipeline.run(max_apps=20)
+        schedule = simulate_stream([o.cost for o in outcomes], 2, 3)
+        assert outcomes
+        assert {o.worker for o in outcomes} <= {0, 1}
+        assert [o.worker for o in outcomes] == schedule.assignments
+        registry = pipeline.obs.registry
+        assert registry.value(EXEC_CRITICAL_PATH_METRIC) == (
+            schedule.critical_path)
+        assert registry.value(EXEC_STEALS_METRIC) == schedule.steals
 
 
 # -- fault injection ----------------------------------------------------------
@@ -202,8 +203,8 @@ class TestStreamSchedulerFaults:
         _FLAG_DIR["path"] = str(tmp_path)
         stage = StreamStage("s", list(range(12)), _die_once)
         scheduler = StreamScheduler(self.config())
-        results = scheduler.run([stage])
-        assert results[0] == [v * v for v in range(12)]
+        results = scheduler.run(stage)
+        assert results == [v * v for v in range(12)]
         assert scheduler.repaired_chunks >= 1
         assert scheduler.quarantined_tasks == 0
 
@@ -211,11 +212,11 @@ class TestStreamSchedulerFaults:
         stage = StreamStage("s", list(range(12)), _die_always,
                             on_lost=lambda task: ("lost", task))
         scheduler = StreamScheduler(self.config())
-        results = scheduler.run([stage])
+        results = scheduler.run(stage)
         # Exactly the poisoned task is quarantined; every innocent task
         # that shared a chunk or a pool with it still delivers.
-        assert results[0][7] == ("lost", 7)
-        assert [r for i, r in enumerate(results[0]) if i != 7] == [
+        assert results[7] == ("lost", 7)
+        assert [r for i, r in enumerate(results) if i != 7] == [
             v * v for v in range(12) if v != 7
         ]
         assert scheduler.quarantined_tasks == 1
@@ -223,7 +224,7 @@ class TestStreamSchedulerFaults:
     def test_quarantine_without_on_lost_raises(self):
         stage = StreamStage("s", list(range(8)), _die_always)
         with pytest.raises(WorkerLostError):
-            StreamScheduler(self.config()).run([stage])
+            StreamScheduler(self.config()).run(stage)
 
 
 # -- study-level byte-identity -----------------------------------------------
@@ -291,38 +292,7 @@ class TestStreamingByteIdentity:
         assert "tasks quarantined" in report
 
 
-class TestInterleavedStudies:
-    def test_matches_separate_barrier_runs(self):
-        # The baseline runs the studies one after the other, a barrier
-        # between them; interleaving must not change a byte.
-        from repro.core import InterleavedStudies
-        from repro.core.study import DynamicStudy, StaticStudy
-
-        def make(workers):
-            static = StaticStudy(universe_size=2_500, seed=77, obs=Obs(),
-                                 max_workers=workers, chunk_size=4,
-                                 exec_backend="inline", telemetry=None,
-                                 results_store=None)
-            static.telemetry = static.results_store = None
-            dynamic = DynamicStudy(seed=9, site_count=4, obs=Obs(),
-                                   max_workers=workers, chunk_size=1,
-                                   exec_backend="inline", telemetry=None,
-                                   results_store=None)
-            dynamic.telemetry = dynamic.results_store = None
-            return static, dynamic
-
-        static0, dynamic0 = make(1)
-        base_result = static0.run(max_apps=25)
-        base_crawl = dynamic0.crawl_top_sites()
-
-        static1, dynamic1 = make(3)
-        result, crawl = InterleavedStudies(static1, dynamic1).run(max_apps=25)
-        assert _study_digest(result) == _study_digest(base_result)
-        assert _crawl_digest(crawl) == _crawl_digest(base_crawl)
-        # Both studies expose the shared schedule in their run reports.
-        assert "work steals" in static1.run_report()
-        assert "work steals" in dynamic1.run_report()
-
+class TestPreparedIngestRows:
     def test_prepared_ingest_rows_match_barrier(self, tmp_path):
         import sqlite3
 
