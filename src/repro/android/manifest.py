@@ -37,10 +37,6 @@ class AndroidManifest:
     def receivers(self):
         return [c for c in self.components if c.kind == "receiver"]
 
-    @property
-    def providers(self):
-        return [c for c in self.components if c.kind == "provider"]
-
     def component_by_name(self, name):
         for component in self.components:
             if component.name == name:

@@ -38,10 +38,6 @@ class IndexRow:
         self.markets = tuple(markets)
         self.apk_size = apk_size
 
-    @property
-    def from_play_store(self):
-        return PLAY_MARKET in self.markets
-
     def __repr__(self):
         return "IndexRow(%s v%d, %s)" % (
             self.package, self.version_code, self.dex_date

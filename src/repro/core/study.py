@@ -2,9 +2,8 @@
 
 from repro.corpus.config import CorpusConfig
 from repro.corpus.generator import generate_corpus
-from repro.dynamic.apps import real_app_profiles, webview_iab_profiles
+from repro.dynamic.apps import webview_iab_profiles
 from repro.dynamic.crawler import AdbCrawler, DEFAULT_CRAWL_CHUNK_SIZE
-from repro.exec.config import CHUNK_SIZE_ENV_VAR, _env_int
 from repro.dynamic.manual_study import ManualStudy
 from repro.dynamic.measurements import IabMeasurementHarness
 from repro.exec import ExecConfig, chain_results
@@ -36,10 +35,10 @@ class StaticStudy:
 
     ``max_workers`` / ``chunk_size`` / ``exec_backend`` shard the per-app
     analysis over the :mod:`repro.exec` streaming scheduler; left at
-    None they fall back to the ``REPRO_MAX_WORKERS`` /
-    ``REPRO_CHUNK_SIZE`` / ``REPRO_EXEC_BACKEND`` environment. Results
-    are byte-identical for any worker count and backend (see DESIGN.md
-    §Execution).
+    None, the worker count falls back to ``REPRO_MAX_WORKERS`` and the
+    chunk size and backend to their defaults (8 tasks, ``auto``).
+    Results are byte-identical for any worker count and backend (see
+    DESIGN.md §Execution).
     """
 
     def __init__(self, universe_size=20_000, seed=DEFAULT_SEED, corpus=None,
@@ -179,7 +178,8 @@ class DynamicStudy:
 
     Like :class:`StaticStudy`, ``max_workers`` / ``chunk_size`` /
     ``exec_backend`` shard the crawl (per app) over the :mod:`repro.exec`
-    streaming scheduler; left at None they fall back to the environment,
+    streaming scheduler; left at None, the worker count falls back to
+    ``REPRO_MAX_WORKERS`` and the chunk size to one app per dispatch,
     and ``REPRO_CACHE`` switches the parsed-script cache. Crawl results
     and metrics are byte-identical for any worker count and cache
     setting (see DESIGN.md §Dynamic throughput).
@@ -201,8 +201,7 @@ class DynamicStudy:
         self.manual_study = ManualStudy(total_apps=total_apps, seed=seed)
         self.harness = IabMeasurementHarness(seed=seed)
         if chunk_size is None:
-            chunk_size = _env_int(CHUNK_SIZE_ENV_VAR,
-                                  DEFAULT_CRAWL_CHUNK_SIZE)
+            chunk_size = DEFAULT_CRAWL_CHUNK_SIZE
         self.exec_config = ExecConfig(max_workers=max_workers,
                                       chunk_size=chunk_size,
                                       backend=exec_backend)
@@ -320,9 +319,6 @@ class DynamicStudy:
         """Per-site-category mean distinct app-specific endpoints."""
         crawl = self.crawl_top_sites()
         return crawl.endpoint_summary(app_name)
-
-    def all_profiles(self):
-        return real_app_profiles()
 
 
 def _abbrev(value):

@@ -103,16 +103,6 @@ class CorpusConfig:
         self.update_cutoff = datetime.date(2021, 1, 1)
         self.min_installs = 100_000
 
-    @property
-    def expected_selected(self):
-        """Expected number of apps surviving all Table 2 filters."""
-        ratio = (
-            self.funnel.found_on_play
-            * self.funnel.popular
-            * self.funnel.maintained
-        )
-        return int(self.universe_size * ratio)
-
     def __repr__(self):
         return "CorpusConfig(universe=%d, seed=%r)" % (
             self.universe_size, self.seed

@@ -101,12 +101,6 @@ class Timeline:
     def snapshots(self):
         return [self.corpus.repository.snapshot(date) for date in self.dates]
 
-    def step_for(self, date):
-        for step in self.steps:
-            if step.date == date:
-                return step
-        return None
-
     def __repr__(self):
         return "Timeline(%d snapshots over %s..%s)" % (
             len(self.dates), self.dates[0], self.dates[-1]

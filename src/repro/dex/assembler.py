@@ -37,9 +37,6 @@ class MethodBuilder:
         self.instructions.append(Instruction(opcode, operand))
         return self
 
-    def nop(self):
-        return self.emit(Opcode.NOP)
-
     def const_string(self, value):
         return self.emit(Opcode.CONST_STRING, value)
 
@@ -69,17 +66,9 @@ class MethodBuilder:
             Opcode.INVOKE_SUPER, MethodRef(class_name, method_name, descriptor)
         )
 
-    def invoke_interface(self, class_name, method_name, descriptor="()void"):
-        return self.emit(
-            Opcode.INVOKE_INTERFACE, MethodRef(class_name, method_name, descriptor)
-        )
-
     def call(self, ref):
         """Invoke an arbitrary :class:`MethodRef` virtually."""
         return self.emit(Opcode.INVOKE_VIRTUAL, ref)
-
-    def iget(self, class_name, field_name):
-        return self.emit(Opcode.IGET, (class_name, field_name))
 
     def iput(self, class_name, field_name):
         return self.emit(Opcode.IPUT, (class_name, field_name))

@@ -159,25 +159,6 @@ def _write_instruction(writer, pool, instruction):
         pass
 
 
-def _read_instruction(reader, strings):
-    try:
-        opcode = Opcode(reader.u8())
-    except ValueError as exc:
-        raise DexError("unknown opcode: %s" % exc)
-    if opcode.is_invoke:
-        ref = MethodRef(
-            strings[reader.u32()], strings[reader.u32()], strings[reader.u32()]
-        )
-        return Instruction(opcode, ref)
-    if opcode in (Opcode.CONST_STRING, Opcode.NEW_INSTANCE):
-        return Instruction(opcode, strings[reader.u32()])
-    if opcode in (Opcode.CONST_INT, Opcode.IF_EQZ, Opcode.IF_NEZ, Opcode.GOTO):
-        return Instruction(opcode, reader.i32())
-    if opcode in (Opcode.IGET, Opcode.IPUT, Opcode.SGET, Opcode.SPUT):
-        return Instruction(opcode, (strings[reader.u32()], strings[reader.u32()]))
-    return Instruction(opcode)
-
-
 def _write_class_record(body, pool, dex_class):
     """One class record, interning its strings into ``pool``."""
     body.u32(pool.intern(dex_class.name))

@@ -32,7 +32,6 @@ from repro.dynamic.device import Device
 from repro.dynamic.iab import IabKind
 from repro.dynamic.webview_runtime import WebViewRuntime
 from repro.exec import ExecConfig, StreamPlan, TaskOutcome
-from repro.exec.config import CHUNK_SIZE_ENV_VAR, _env_int
 from repro.netstack.network import Network, Request
 from repro.obs import (
     CRAWL_NETLOG_EVENTS_METRIC,
@@ -65,7 +64,7 @@ BETWEEN_CRAWLS_WAIT_MS = 60_000
 
 #: Crawl shards are whole apps — far coarser than the static pipeline's
 #: per-APK tasks — so one shard per dispatch is the right default unless
-#: ``REPRO_CHUNK_SIZE`` says otherwise.
+#: the caller passes a ``chunk_size``.
 DEFAULT_CRAWL_CHUNK_SIZE = 1
 
 #: Cap on the retained simulated-ADB transcript: at 1K apps x 100 sites
@@ -128,34 +127,48 @@ class CrawlResult:
         return endpoint_type
 
     def endpoint_summary(self, app_name):
-        """Figure 6 data: site category -> mean distinct app-specific
-        endpoints, plus per-category breakdown by endpoint type."""
-        from collections import defaultdict
-
-        per_category_counts = defaultdict(list)
-        per_category_types = defaultdict(lambda: defaultdict(list))
+        """Figure 6 data for one app (see :func:`endpoint_summary`)."""
+        visits = []
         for visit in self.visits_for(app_name):
             specific = self.app_specific_hosts(visit)
-            category = str(visit.site.category)
-            per_category_counts[category].append(len(specific))
-            type_counts = defaultdict(int)
-            for host in specific:
-                endpoint_type = self._classify(host, visit.site.landing_url)
-                type_counts[str(endpoint_type)] += 1
-            for endpoint_type, count in type_counts.items():
-                per_category_types[category][endpoint_type].append(count)
-        means = {
-            category: sum(counts) / len(counts)
-            for category, counts in per_category_counts.items()
+            type_counts = collections.Counter(
+                str(self._classify(host, visit.site.landing_url))
+                for host in specific
+            )
+            visits.append((str(visit.site.category), len(specific),
+                           type_counts))
+        return endpoint_summary(visits)
+
+
+def endpoint_summary(visits):
+    """Figure 6 means from per-visit ``(site category, app-specific host
+    count, {endpoint type: hosts})`` rows, in visit order.
+
+    Returns ``(means, type_means)``: site category -> mean distinct
+    app-specific endpoints per visit, and site category -> endpoint type
+    -> mean hosts of that type over the visits that contacted one. The
+    one reduction behind :meth:`CrawlResult.endpoint_summary` and the
+    served ``ResultsService.endpoint_summary``.
+    """
+    per_category_counts = collections.defaultdict(list)
+    per_category_types = collections.defaultdict(
+        lambda: collections.defaultdict(list))
+    for category, specific, type_counts in visits:
+        per_category_counts[category].append(specific)
+        for endpoint_type, count in type_counts.items():
+            per_category_types[category][endpoint_type].append(count)
+    means = {
+        category: sum(counts) / len(counts)
+        for category, counts in per_category_counts.items()
+    }
+    type_means = {
+        category: {
+            endpoint_type: sum(counts) / len(counts)
+            for endpoint_type, counts in types.items()
         }
-        type_means = {
-            category: {
-                endpoint_type: sum(counts) / len(counts)
-                for endpoint_type, counts in types.items()
-            }
-            for category, types in per_category_types.items()
-        }
-        return means, type_means
+        for category, types in per_category_types.items()
+    }
+    return means, type_means
 
 
 # -- sharded execution ---------------------------------------------------------
@@ -317,9 +330,7 @@ class AdbCrawler:
         self.adb_commands = collections.deque(maxlen=adb_log_limit)
         self.obs = obs if obs is not None else default_obs()
         if exec_config is None:
-            exec_config = ExecConfig(chunk_size=_env_int(
-                CHUNK_SIZE_ENV_VAR, DEFAULT_CRAWL_CHUNK_SIZE
-            ))
+            exec_config = ExecConfig(chunk_size=DEFAULT_CRAWL_CHUNK_SIZE)
         self.exec_config = exec_config
         self.log = get_logger("dynamic.crawler")
         self._visits = self.obs.counter(

@@ -70,9 +70,6 @@ class Device:
             raise DeviceError("app not installed: %s" % package)
         return self._apps[package]
 
-    def installed_packages(self):
-        return list(self._apps)
-
     # -- intents ---------------------------------------------------------------
 
     def dispatch(self, intent):

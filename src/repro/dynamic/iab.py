@@ -34,10 +34,6 @@ class LinkOpenEvent:
         #: Where in the app the link lived (Post / DM / Story / ...).
         self.surface = surface
 
-    @property
-    def is_iab(self):
-        return self.kind in (IabKind.WEBVIEW, IabKind.CUSTOM_TAB)
-
     def __repr__(self):
         return "LinkOpenEvent(%s, %s, %s)" % (
             self.app_package, self.kind, self.url

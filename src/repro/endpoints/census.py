@@ -430,6 +430,30 @@ def _run_endpoint_shard(settings, shard):
     return outcome
 
 
+def sdk_census(rows):
+    """Per-SDK endpoint counts from ``(sdk, partial, cleartext,
+    credentials)`` rows.
+
+    Returns ``{sdk: {total, full, partial, cleartext, credentials}}``
+    with SDKs in first-seen order. The one reduction behind
+    :meth:`EndpointResult.sdk_census` and the served
+    ``ResultsService.static_sdk_census``.
+    """
+    census = {}
+    for sdk, partial, cleartext, credentials in rows:
+        row = census.setdefault(sdk, {
+            "total": 0, "full": 0, "partial": 0,
+            "cleartext": 0, "credentials": 0,
+        })
+        row["total"] += 1
+        row["partial" if partial else "full"] += 1
+        if cleartext:
+            row["cleartext"] += 1
+        if credentials:
+            row["credentials"] += 1
+    return census
+
+
 class EndpointResult:
     """All per-app endpoint lists, in selection order."""
 
@@ -445,20 +469,13 @@ class EndpointResult:
         return {app.package: app for app in self.apps}
 
     def sdk_census(self):
-        """``{sdk: {total, full, partial, cleartext, credentials}}``."""
-        census = {}
-        for record in self.records:
-            row = census.setdefault(record.sdk, {
-                "total": 0, "full": 0, "partial": 0,
-                "cleartext": 0, "credentials": 0,
-            })
-            row["total"] += 1
-            row["partial" if record.partial else "full"] += 1
-            if record.cleartext:
-                row["cleartext"] += 1
-            if record.credentials:
-                row["credentials"] += 1
-        return census
+        """``{sdk: {total, full, partial, cleartext, credentials}}`` (see
+        :func:`sdk_census`)."""
+        return sdk_census(
+            (record.sdk, record.partial, record.cleartext,
+             record.credentials)
+            for record in self.records
+        )
 
     def census_table(self):
         """The per-SDK endpoint census as a reporting table."""
@@ -472,29 +489,6 @@ class EndpointResult:
             row = census[sdk]
             table.add_row(sdk, row["total"], row["full"], row["partial"],
                           row["cleartext"], row["credentials"])
-        return table
-
-    def flag_table(self):
-        """Cleartext / credentialed endpoints, worst registrable domains."""
-        table = Table(
-            ["registrable domain", "sdk", "cleartext", "credentials"],
-            title="Flagged endpoints",
-        )
-        flagged = {}
-        for record in self.records:
-            if not (record.cleartext or record.credentials):
-                continue
-            row = flagged.setdefault(
-                (record.registrable_domain, record.sdk), [0, 0]
-            )
-            row[0] += 1 if record.cleartext else 0
-            row[1] += 1 if record.credentials else 0
-        ordered = sorted(
-            flagged.items(),
-            key=lambda item: (-(item[1][0] + item[1][1]), item[0]),
-        )
-        for (domain, sdk), (cleartext, credentials) in ordered:
-            table.add_row(domain, sdk, cleartext, credentials)
         return table
 
 

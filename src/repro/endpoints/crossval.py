@@ -21,7 +21,6 @@ dynamic observations.
 
 from repro.corpus.appgen import runtime_session_urls
 from repro.netstack.netlog import NetLog, NetLogEventType
-from repro.sdk.labeling import PackageLabel
 
 #: How many top-installed apps the dynamic crawl covers (paper's budget).
 DEFAULT_OVERLAP = 1000
@@ -83,6 +82,30 @@ class SdkValidation:
                 self.precision, self.recall)
 
 
+def validation_rows(observations):
+    """Per-SDK precision/recall rows from ``(source, sdk, matched)``.
+
+    ``source`` is ``"static"`` for a reconstruction or ``"dynamic"``
+    for a requested URL; ``matched`` is 0 or 1. Returns
+    :class:`SdkValidation` rows sorted by SDK label. The one reduction
+    behind :func:`cross_validate` and the served
+    ``ResultsService.validation``.
+    """
+    rows = {}
+    for source, sdk, matched in observations:
+        row = rows.get(sdk)
+        if row is None:
+            row = rows[sdk] = SdkValidation(sdk)
+        if source == "static":
+            row.static_total += 1
+            row.matched_static += matched
+        else:
+            row.dynamic_total += 1
+            row.matched_dynamic += matched
+    return [rows[sdk] for sdk in
+            sorted(rows, key=lambda name: (name is None, name))]
+
+
 class ValidationResult:
     """Per-SDK precision/recall over the static/dynamic overlap.
 
@@ -106,22 +129,6 @@ class ValidationResult:
     def as_rows(self):
         """Plain tuples, the exact shape the results store ingests."""
         return [row.as_row() for row in self.rows]
-
-
-def _attribution(census, app_package, owner_package):
-    """Dynamic-side attribution: same policy as the census merge."""
-    if owner_package == app_package or owner_package.startswith(
-        app_package + "."
-    ):
-        return "first-party"
-    label = census.labeler.label(owner_package)
-    if label.status == PackageLabel.EXCLUDED:
-        return "google"
-    if label.status == PackageLabel.KNOWN:
-        return label.sdk.name
-    if label.status == PackageLabel.OBFUSCATED:
-        return "obfuscated"
-    return "unknown"
 
 
 def match_static(record, dynamic_keys):
@@ -152,16 +159,9 @@ def cross_validate(result, census, top=DEFAULT_OVERLAP, seed=None):
     reconstructed = result.by_package()
     overlap = [spec for spec in census.corpus.top_apps(top)
                if spec.package in reconstructed]
-    rows = {}
+    observations = []
     static_detail = []
     dynamic_detail = []
-
-    def row(sdk):
-        entry = rows.get(sdk)
-        if entry is None:
-            entry = rows[sdk] = SdkValidation(sdk)
-        return entry
-
     for spec in overlap:
         app = reconstructed[spec.package]
         netlog = session_netlog(spec, seed=seed)
@@ -189,25 +189,17 @@ def cross_validate(result, census, top=DEFAULT_OVERLAP, seed=None):
         prefixes = tuple(r.url for r in app.records if r.partial)
 
         for record in app.records:
-            entry = row(record.sdk)
-            entry.static_total += 1
-            matched = match_static(record, key_set)
-            if matched:
-                entry.matched_static += 1
-            static_detail.append((spec.package, record.url, int(matched)))
+            matched = int(match_static(record, key_set))
+            observations.append(("static", record.sdk, matched))
+            static_detail.append((spec.package, record.url, matched))
         for key in dynamic_keys:
-            sdk = _attribution(census, spec.package, dynamic_owner[key])
-            entry = row(sdk)
-            entry.dynamic_total += 1
-            matched = match_dynamic(key, full_keys, prefixes)
-            if matched:
-                entry.matched_dynamic += 1
-            dynamic_detail.append((spec.package, key, sdk, int(matched)))
+            sdk = census._attribution(spec.package, dynamic_owner[key])
+            matched = int(match_dynamic(key, full_keys, prefixes))
+            observations.append(("dynamic", sdk, matched))
+            dynamic_detail.append((spec.package, key, sdk, matched))
 
-    ordered = [rows[sdk] for sdk in
-               sorted(rows, key=lambda name: (name is None, name))]
-    return ValidationResult(len(overlap), ordered, static_detail,
-                            dynamic_detail)
+    return ValidationResult(len(overlap), validation_rows(observations),
+                            static_detail, dynamic_detail)
 
 
 def validation_table(validation):

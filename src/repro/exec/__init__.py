@@ -6,9 +6,8 @@ Rapoport et al. made). This package provides the pieces the studies
 shard themselves with:
 
 - **configuration** (:mod:`repro.exec.config`): :class:`ExecConfig` reads
-  ``REPRO_MAX_WORKERS`` / ``REPRO_CHUNK_SIZE`` / ``REPRO_EXEC_BACKEND``
-  and resolves the backend (``process`` when more than one worker is
-  requested, ``inline`` otherwise).
+  ``REPRO_MAX_WORKERS`` and resolves the backend (``process`` when more
+  than one worker is requested, ``inline`` otherwise).
 - **the executor** (:mod:`repro.exec.stream`): every sharded workload
   opens a :class:`StreamPlan` — the shard lifecycle the workloads
   share: spans, selection-order merge, worker attribution, exec metrics
@@ -52,11 +51,9 @@ from repro.exec.cache import (
 )
 from repro.exec.config import (
     BACKEND_AUTO,
-    BACKEND_ENV_VAR,
     BACKEND_INLINE,
     BACKEND_PROCESS,
     CACHE_ENV_VAR,
-    CHUNK_SIZE_ENV_VAR,
     DEFAULT_MAX_ATTEMPTS,
     ExecConfig,
     ExecConfigError,
@@ -77,12 +74,10 @@ from repro.exec.stream import (
 __all__ = [
     "AnalysisCache",
     "BACKEND_AUTO",
-    "BACKEND_ENV_VAR",
     "BACKEND_INLINE",
     "BACKEND_PROCESS",
     "CACHE_DIR_ENV_VAR",
     "CACHE_ENV_VAR",
-    "CHUNK_SIZE_ENV_VAR",
     "CLASS_FACTS_KIND",
     "ClassFactsCache",
     "DEFAULT_MAX_ATTEMPTS",

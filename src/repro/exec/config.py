@@ -1,9 +1,9 @@
 """Execution-layer configuration, resolved from arguments or environment.
 
-``REPRO_MAX_WORKERS`` and ``REPRO_CHUNK_SIZE`` size the pool; the CI
-matrix sets the former to exercise the parallel path on every push.
-``REPRO_EXEC_BACKEND`` can pin a backend explicitly — ``auto`` (the
-default) picks processes only when more than one worker is requested.
+``REPRO_MAX_WORKERS`` sizes the pool; the CI matrix sets it to exercise
+the parallel path on every push. The backend is ``auto`` unless the
+``backend`` argument pins one: ``auto`` picks processes only when more
+than one worker is requested.
 ``REPRO_CACHE`` (on by default) gates the three content-addressed
 tiers that memoize work shared across apps: the static pipeline's
 class-facts tier (:mod:`repro.exec.cache`), the endpoint census's
@@ -13,17 +13,17 @@ byte-identical either way; the CI matrix runs a leg with it off to prove
 it. It does not gate the per-APK outcome tier or the longitudinal
 ``RunStore``, which incremental runs depend on.
 
-The ``window`` and ``max_attempts`` arguments (no environment variable)
-set the streaming scheduler's (:mod:`repro.exec.stream`) in-flight chunk
-window, default ``2 * max_workers``, and the per-shard retry budget
-before a lost task is quarantined into the drop taxonomy.
+The ``chunk_size``, ``backend``, ``window`` and ``max_attempts``
+arguments (no environment variable) set how many tasks ride in one
+dispatch (default 8), the backend, the streaming scheduler's
+(:mod:`repro.exec.stream`) in-flight chunk window, default ``2 *
+max_workers``, and the per-shard retry budget before a lost task is
+quarantined into the drop taxonomy.
 """
 
 import os
 
 MAX_WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
-CHUNK_SIZE_ENV_VAR = "REPRO_CHUNK_SIZE"
-BACKEND_ENV_VAR = "REPRO_EXEC_BACKEND"
 CACHE_ENV_VAR = "REPRO_CACHE"
 
 BACKEND_AUTO = "auto"
@@ -86,9 +86,9 @@ class ExecConfig:
         if max_workers is None:
             max_workers = _env_int(MAX_WORKERS_ENV_VAR, 1)
         if chunk_size is None:
-            chunk_size = _env_int(CHUNK_SIZE_ENV_VAR, DEFAULT_CHUNK_SIZE)
+            chunk_size = DEFAULT_CHUNK_SIZE
         if backend is None:
-            backend = os.environ.get(BACKEND_ENV_VAR, BACKEND_AUTO)
+            backend = BACKEND_AUTO
         if cache is None:
             cache = _env_flag(CACHE_ENV_VAR, True)
         if max_workers < 1:

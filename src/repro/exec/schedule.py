@@ -26,10 +26,9 @@ from repro.exec.config import ExecConfigError
 class Schedule:
     """Outcome of one simulated run: assignments, busy times, makespan."""
 
-    def __init__(self, max_workers, chunk_size, assignments, worker_busy,
-                 makespan, steals=0):
+    def __init__(self, max_workers, assignments, worker_busy, makespan,
+                 steals=0):
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
         #: Worker index per task, in task order.
         self.assignments = list(assignments)
         #: Total busy time per worker index.
@@ -139,5 +138,4 @@ def simulate_stream(costs, max_workers, chunk_size, steal=True):
         while idle:
             heapq.heappush(events, (finish, idle.pop()))
 
-    return Schedule(max_workers, chunk_size, assignments, busy, makespan,
-                    steals)
+    return Schedule(max_workers, assignments, busy, makespan, steals)

@@ -17,7 +17,6 @@ import time
 
 from repro.dynamic.manual_study import ManualStudy
 from repro.exec import ExecConfig, StreamPlan, TaskOutcome
-from repro.exec.config import CHUNK_SIZE_ENV_VAR, _env_int
 from repro.impact.attacker import probe_app
 from repro.impact.severity import SEVERITY_ORDER, severity_rank
 from repro.obs import (
@@ -96,6 +95,39 @@ def _run_impact_shard(settings, shard):
     return outcome
 
 
+def capability_ranking(pairs):
+    """SDKs ranked by injection capability, from ``(sdk, severity)`` pairs.
+
+    Sort key: highest severity reached (descending), then the count of
+    findings at each severity rung (descending, worst first), then the
+    SDK label — so an SDK with one ``exfiltrate`` outranks one with many
+    ``invoke``, which is the point of the census. Returns ``[(sdk,
+    max_severity, {severity: count})]``. The one reduction behind
+    :meth:`ImpactResult.sdk_capability_ranking` and the served
+    ``ResultsService.capability_ranking``.
+    """
+    per_sdk = {}
+    for sdk, severity in pairs:
+        counts = per_sdk.setdefault(sdk, dict.fromkeys(SEVERITY_ORDER, 0))
+        counts[severity] += 1
+    ranked = sorted(
+        per_sdk.items(),
+        key=lambda item: (
+            tuple(-item[1][severity]
+                  for severity in reversed(SEVERITY_ORDER)),
+            item[0],
+        ),
+    )
+    result = []
+    for sdk, counts in ranked:
+        reached = max(
+            (severity for severity in SEVERITY_ORDER if counts[severity]),
+            key=severity_rank, default=SEVERITY_ORDER[0],
+        )
+        result.append((sdk, reached, counts))
+    return result
+
+
 class ImpactResult:
     """All per-app impact records, in selection order."""
 
@@ -119,37 +151,11 @@ class ImpactResult:
         return counts
 
     def sdk_capability_ranking(self):
-        """SDKs ranked by injection capability.
-
-        Sort key: highest severity reached (descending), then the count
-        of findings at each severity rung (descending, worst first),
-        then the SDK label — so an SDK with one ``exfiltrate`` outranks
-        one with many ``invoke``, which is the point of the census.
-        Returns ``[(sdk, max_severity, {severity: count})]``.
-        """
-        per_sdk = {}
-        for finding in self.findings:
-            counts = per_sdk.setdefault(
-                finding.sdk, dict.fromkeys(SEVERITY_ORDER, 0)
-            )
-            counts[finding.severity] += 1
-        ranked = sorted(
-            per_sdk.items(),
-            key=lambda item: (
-                tuple(-item[1][severity]
-                      for severity in reversed(SEVERITY_ORDER)),
-                item[0],
-            ),
+        """SDKs ranked by injection capability (see
+        :func:`capability_ranking`)."""
+        return capability_ranking(
+            (finding.sdk, finding.severity) for finding in self.findings
         )
-        result = []
-        for sdk, counts in ranked:
-            reached = max(
-                (severity for severity in SEVERITY_ORDER
-                 if counts[severity]),
-                key=severity_rank, default=SEVERITY_ORDER[0],
-            )
-            result.append((sdk, reached, counts))
-        return result
 
     def census_table(self):
         """The severity census as a reporting table."""
@@ -185,9 +191,7 @@ class ImpactCensus:
         self.seed = seed
         self.obs = obs if obs is not None else default_obs()
         if exec_config is None:
-            exec_config = ExecConfig(chunk_size=_env_int(
-                CHUNK_SIZE_ENV_VAR, DEFAULT_IMPACT_CHUNK_SIZE
-            ))
+            exec_config = ExecConfig(chunk_size=DEFAULT_IMPACT_CHUNK_SIZE)
         self.exec_config = exec_config
         self.log = get_logger("impact.census")
         self._apps_metric = self.obs.counter(

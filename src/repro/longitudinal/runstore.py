@@ -120,22 +120,6 @@ class RunStore:
             )
         return record
 
-    def outcome_count(self, context):
-        counted = {
-            (sha, token) for (ctx, sha, token) in self._outcomes
-            if ctx == context
-        }
-        if self.persistent:
-            try:
-                names = os.listdir(self._outcomes_dir(context))
-            except OSError:
-                names = []
-            for name in names:
-                if name.endswith(_OUTCOME_SUFFIX):
-                    counted.add(tuple(name[:-len(_OUTCOME_SUFFIX)]
-                                      .rsplit("_", 1)))
-        return len(counted)
-
     # -- manifests -----------------------------------------------------------
 
     def write_manifest(self, context, run_id, manifest):

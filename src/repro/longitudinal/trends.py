@@ -14,6 +14,15 @@ from repro.reporting import Table
 from repro.static_analysis.report import Aggregator
 
 
+def share(apps, analyzed):
+    """``apps`` as a percentage of ``analyzed`` (0.0 when none were).
+
+    The one reduction behind the :class:`SnapshotPoint` shares and the
+    served ``ResultsService.adoption_trend``.
+    """
+    return 100.0 * apps / (analyzed or 1)
+
+
 class SnapshotPoint:
     """One snapshot's aggregated measurements."""
 
@@ -28,18 +37,15 @@ class SnapshotPoint:
 
     @property
     def webview_share(self):
-        total = self.analyzed or 1
-        return 100.0 * self.aggregator.webview_apps / total
+        return share(self.aggregator.webview_apps, self.analyzed)
 
     @property
     def ct_share(self):
-        total = self.analyzed or 1
-        return 100.0 * self.aggregator.ct_apps / total
+        return share(self.aggregator.ct_apps, self.analyzed)
 
     @property
     def both_share(self):
-        total = self.analyzed or 1
-        return 100.0 * self.aggregator.both_apps / total
+        return share(self.aggregator.both_apps, self.analyzed)
 
     def __repr__(self):
         return "SnapshotPoint(%s, %d analyzed, wv=%.1f%%, ct=%.1f%%)" % (

@@ -80,9 +80,6 @@ class NetLog:
                 seen.append(host)
         return seen
 
-    def events_for(self, url):
-        return [e for e in self.events if e.url == str(url)]
-
     def purge(self):
         """Clear the log (the crawler purges between site visits)."""
         self.events = []

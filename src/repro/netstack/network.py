@@ -180,9 +180,6 @@ class Network:
         for third_party in template.third_party_hosts:
             self.register_host(third_party)
 
-    def knows_host(self, host):
-        return host.lower() in self._hosts
-
     # -- connection warmup ----------------------------------------------------------
 
     def prewarm(self, url):

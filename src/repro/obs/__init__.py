@@ -10,8 +10,8 @@ Three cooperating layers, all deterministic by default (see DESIGN.md
   :func:`configure` opts a study in, honoring ``REPRO_LOG_LEVEL``.
 - **metrics** (:mod:`repro.obs.metrics`): counters, gauges and
   fixed-bucket histograms in a :class:`MetricsRegistry` with
-  ``Counter.labels(...)``-style children and JSON + Prometheus-text
-  exporters, both of which round-trip.
+  ``Counter.labels(...)``-style children and a JSON exporter that
+  round-trips.
 - **span tracing** (:mod:`repro.obs.tracing`): ``trace_span("decompile",
   package=...)`` records nested spans with durations and error status,
   exportable as a JSON trace tree.
@@ -38,8 +38,6 @@ from repro.obs.metrics import (
     REGISTRY,
     TickClock,
     default_registry,
-    parse_prometheus_text,
-    validate_prometheus_text,
 )
 from repro.obs.progress import (
     PROGRESS_ENV_VAR,
@@ -254,10 +252,8 @@ __all__ = [
     "default_tracer",
     "format_kv",
     "get_logger",
-    "parse_prometheus_text",
     "progress_enabled",
     "render_run_report",
     "trace_span",
     "use_tracer",
-    "validate_prometheus_text",
 ]

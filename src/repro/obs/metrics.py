@@ -6,16 +6,11 @@ returns a child time series for one label-value combination. Values are
 plain Python numbers — no wall-clock dependence anywhere — so two runs of
 a deterministic study produce bit-identical registries.
 
-Two exporters are provided, and both round-trip:
-
-- JSON via :meth:`MetricsRegistry.as_dict` / :meth:`MetricsRegistry.from_dict`
-  (and the ``to_json`` convenience),
-- Prometheus text exposition via :meth:`MetricsRegistry.render_prometheus`,
-  parseable back into samples with :func:`parse_prometheus_text`.
+The registry exports to JSON and back via :meth:`MetricsRegistry.as_dict`
+/ :meth:`MetricsRegistry.from_dict` (and the ``to_json`` convenience).
 """
 
 import json
-import re
 
 
 class TickClock:
@@ -357,296 +352,6 @@ class MetricsRegistry:
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
-
-    # -- Prometheus text exporter --------------------------------------------
-
-    def render_prometheus(self):
-        """Render the Prometheus text exposition format."""
-        lines = []
-        for metric in self:
-            if metric.help:
-                lines.append("# HELP %s %s"
-                             % (metric.name, _escape_help(metric.help)))
-            lines.append("# TYPE %s %s" % (metric.name, metric.kind))
-            for labels, sample in metric.samples():
-                if metric.kind == "histogram":
-                    for bound, count in sample.bucket_counts().items():
-                        bucket_labels = dict(labels)
-                        bucket_labels["le"] = _format_bound(bound)
-                        lines.append(_sample_line(
-                            metric.name + "_bucket", bucket_labels, count
-                        ))
-                    lines.append(_sample_line(
-                        metric.name + "_sum", labels, sample._sum))
-                    lines.append(_sample_line(
-                        metric.name + "_count", labels, sample._count))
-                else:
-                    lines.append(_sample_line(
-                        metric.name, labels, sample._value))
-        return "\n".join(lines) + "\n"
-
-    def flat_samples(self):
-        """``{(name, frozenset(labels)): value}`` — the exposition's content.
-
-        Histograms expand to their ``_bucket``/``_sum``/``_count`` series,
-        exactly mirroring :meth:`render_prometheus`, so the Prometheus
-        round-trip can be asserted with :func:`parse_prometheus_text`.
-        """
-        flat = {}
-        for metric in self:
-            for labels, sample in metric.samples():
-                if metric.kind == "histogram":
-                    for bound, count in sample.bucket_counts().items():
-                        key = dict(labels)
-                        key["le"] = _format_bound(bound)
-                        flat[(metric.name + "_bucket",
-                              frozenset(key.items()))] = float(count)
-                    flat[(metric.name + "_sum",
-                          frozenset(labels.items()))] = float(sample._sum)
-                    flat[(metric.name + "_count",
-                          frozenset(labels.items()))] = float(sample._count)
-                else:
-                    flat[(metric.name,
-                          frozenset(labels.items()))] = float(sample._value)
-        return flat
-
-
-def _sample_line(name, labels, value):
-    if labels:
-        body = ",".join(
-            '%s="%s"' % (key, _escape_label(str(labels[key])))
-            for key in sorted(labels)
-        )
-        return "%s{%s} %s" % (name, body, _format_value(value))
-    return "%s %s" % (name, _format_value(value))
-
-
-def _format_value(value):
-    if float(value) == int(value):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _format_bound(bound):
-    if bound == float("inf"):
-        return "+Inf"
-    return _format_value(bound)
-
-
-def _escape_label(value):
-    return (value.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _escape_help(value):
-    return value.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def parse_prometheus_text(text):
-    """Parse exposition text back into ``{(name, frozenset(labels)): value}``.
-
-    Understands the subset emitted by :meth:`MetricsRegistry.render_prometheus`
-    — enough for the exporter round-trip guarantee.
-    """
-    samples = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "{" in line:
-            name, rest = line.split("{", 1)
-            label_body, value_part = rest.rsplit("} ", 1)
-            labels = {}
-            for pair in _split_label_pairs(label_body):
-                key, raw = pair.split("=", 1)
-                labels[key] = _unescape_label(raw[1:-1])
-            key = frozenset(labels.items())
-        else:
-            name, value_part = line.rsplit(" ", 1)
-            key = frozenset()
-        samples[(name, key)] = float(value_part)
-    return samples
-
-
-def _split_label_pairs(body):
-    pairs = []
-    current = []
-    in_quotes = False
-    escaped = False
-    for char in body:
-        if escaped:
-            current.append(char)
-            escaped = False
-        elif char == "\\":
-            current.append(char)
-            escaped = True
-        elif char == '"':
-            current.append(char)
-            in_quotes = not in_quotes
-        elif char == "," and not in_quotes:
-            pairs.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if current:
-        pairs.append("".join(current))
-    return pairs
-
-
-def _unescape_label(value):
-    # A single left-to-right scan: sequential str.replace passes corrupt
-    # values where one escape's output forms another's input (e.g. the
-    # two-character value '\' 'n' renders as '\\n', which a naive
-    # replace("\\n", "\n") turns back into a real newline).
-    out = []
-    index = 0
-    while index < len(value):
-        char = value[index]
-        if char == "\\" and index + 1 < len(value):
-            nxt = value[index + 1]
-            if nxt == "n":
-                out.append("\n")
-                index += 2
-                continue
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                index += 2
-                continue
-        out.append(char)
-        index += 1
-    return "".join(out)
-
-
-#: Prometheus text-format grammar pieces (prometheus.io/docs/instrumenting/
-#: exposition_formats). Metric and label names; a sample value is any float
-#: token Go's strconv accepts — validated with float() below.
-_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
-    r" (?P<value>\S+)$"
-)
-_QUOTED_VALUE_RE = re.compile(r'^(?:[^"\\]|\\n|\\"|\\\\)*$')
-
-
-def validate_prometheus_text(text):
-    """Check exposition text against the Prometheus text-format grammar.
-
-    Returns a list of human-readable problems (empty means the text
-    parses cleanly). Beyond line grammar, histogram series are checked
-    for internal consistency: a ``+Inf`` bucket equal to ``_count``,
-    cumulative (non-decreasing) bucket counts, and ``_sum``/``_count``
-    present for every label combination that has buckets.
-    """
-    problems = []
-    types = {}
-    histograms = {}
-
-    def base_name(name):
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[:-len(suffix)] in types:
-                return name[:-len(suffix)], suffix
-        return name, ""
-
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("# HELP ") or line.startswith("# TYPE "):
-            parts = line.split(" ", 3)
-            if len(parts) < 3 or not _NAME_RE.match(parts[2]):
-                problems.append("line %d: malformed %s line: %r"
-                                % (number, parts[1], line))
-                continue
-            if parts[1] == "TYPE":
-                if len(parts) != 4 or parts[3] not in _KINDS:
-                    problems.append("line %d: unknown TYPE %r"
-                                    % (number, line))
-                else:
-                    types[parts[2]] = parts[3]
-            continue
-        if line.startswith("#"):
-            continue  # free-form comment
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            problems.append("line %d: unparseable sample: %r"
-                            % (number, line))
-            continue
-        name = match.group("name")
-        labels = {}
-        body = match.group("labels")
-        if body:
-            for pair in _split_label_pairs(body):
-                if "=" not in pair:
-                    problems.append("line %d: malformed label pair %r"
-                                    % (number, pair))
-                    continue
-                key, raw = pair.split("=", 1)
-                if not _LABEL_NAME_RE.match(key):
-                    problems.append("line %d: bad label name %r"
-                                    % (number, key))
-                if (len(raw) < 2 or raw[0] != '"' or raw[-1] != '"'
-                        or not _QUOTED_VALUE_RE.match(raw[1:-1])):
-                    problems.append(
-                        "line %d: label %s value not a well-escaped "
-                        "quoted string: %r" % (number, key, raw)
-                    )
-                    continue
-                labels[key] = _unescape_label(raw[1:-1])
-        value_text = match.group("value")
-        if value_text == "+Inf":
-            value = float("inf")
-        else:
-            try:
-                value = float(value_text)
-            except ValueError:
-                problems.append("line %d: bad sample value %r"
-                                % (number, value_text))
-                continue
-        root, suffix = base_name(name)
-        if types.get(root) == "histogram":
-            series_key = frozenset(
-                item for item in labels.items() if item[0] != "le"
-            )
-            series = histograms.setdefault((root, series_key), {
-                "buckets": [], "sum": None, "count": None,
-            })
-            if suffix == "_bucket":
-                bound_text = labels.get("le")
-                bound = (float("inf") if bound_text == "+Inf"
-                         else float(bound_text))
-                series["buckets"].append((bound, value))
-            elif suffix == "_sum":
-                series["sum"] = value
-            elif suffix == "_count":
-                series["count"] = value
-            else:
-                problems.append(
-                    "line %d: histogram %s sampled without a "
-                    "_bucket/_sum/_count suffix" % (number, root)
-                )
-
-    for (root, series_key), series in sorted(
-        histograms.items(), key=lambda item: (item[0][0], sorted(item[0][1]))
-    ):
-        where = "%s{%s}" % (root, ",".join(
-            "%s=%s" % pair for pair in sorted(series_key)
-        ))
-        if series["sum"] is None or series["count"] is None:
-            problems.append("%s: missing _sum or _count series" % where)
-        bounds = sorted(series["buckets"])
-        if not bounds or bounds[-1][0] != float("inf"):
-            problems.append("%s: no +Inf bucket emitted" % where)
-            continue
-        counts = [count for _, count in bounds]
-        if any(a > b for a, b in zip(counts, counts[1:])):
-            problems.append("%s: bucket counts are not cumulative" % where)
-        if series["count"] is not None and counts[-1] != series["count"]:
-            problems.append(
-                "%s: +Inf bucket (%g) disagrees with _count (%g)"
-                % (where, counts[-1], series["count"])
-            )
-    return problems
 
 
 #: The process-global default registry (instrumentation falls back to it).

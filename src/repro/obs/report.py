@@ -34,10 +34,9 @@ EXEC_CACHE_HITS_METRIC = "repro_exec_cache_hits_total"
 EXEC_CACHE_MISSES_METRIC = "repro_exec_cache_misses_total"
 EXEC_CACHE_EVICTIONS_METRIC = "repro_exec_cache_evictions_total"
 
-#: Streaming-scheduler metrics (repro.exec.stream) and the repair
-#: counters shared with the pooled path: simulated work-steal events,
-#: chunks re-run after worker death, and tasks quarantined into the
-#: drop taxonomy once the retry budget ran out.
+#: Streaming-scheduler metrics (repro.exec.stream): simulated
+#: work-steal events, chunks re-run after worker death, and tasks
+#: quarantined into the drop taxonomy once the retry budget ran out.
 EXEC_STEALS_METRIC = "repro_exec_steals_total"
 EXEC_CHUNKS_REPAIRED_METRIC = "repro_exec_chunks_repaired_total"
 EXEC_TASKS_QUARANTINED_METRIC = "repro_exec_tasks_quarantined_total"

@@ -39,9 +39,6 @@ class PlayStore:
     def is_listed(self, package):
         return package in self._listings
 
-    def all_listings(self):
-        return list(self._listings.values())
-
     def __len__(self):
         return len(self._listings)
 

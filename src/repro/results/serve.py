@@ -5,15 +5,13 @@ tables, adoption trends, per-app nutrition labels, endpoint censuses —
 from a :class:`~repro.results.store.ResultsStore` with prepared,
 parameterized queries. Design points:
 
-- **Byte-equal to the in-memory aggregation.** Every served answer is
-  asserted (in tests and ``benchmarks/bench_serving.py``) equal to what
-  :class:`~repro.static_analysis.report.Aggregator`,
-  :class:`~repro.longitudinal.trends.TrendSeries`,
-  :mod:`~repro.static_analysis.nutrition` and
-  :meth:`~repro.dynamic.crawler.CrawlResult.endpoint_summary` compute
-  from the live objects. Where SQL aggregate semantics could drift from
-  Python's (float means), the query fetches rows and the service
-  reduces them with exactly the in-memory arithmetic.
+- **One reduction per answer.** Every served answer is asserted (in
+  tests and ``benchmarks/bench_serving.py``) equal to the in-memory
+  one. SQL only selects, filters and orders rows and runs exact integer
+  ``COUNT``/``SUM``s; the rest is the reducer that the owning module's
+  in-memory method calls (``share``, ``make_label``,
+  ``endpoint_summary``, ``capability_ranking``, ``sdk_census``,
+  ``validation_rows``), run over the stored rows.
 - **Generation-keyed LRU cache.** Query answers are memoized under
   ``(store generation, query, args)``; any new ingest bumps the
   generation, implicitly invalidating every cached entry without a
@@ -122,15 +120,16 @@ class ResultsService:
 
         Each row matches a
         :class:`~repro.longitudinal.trends.SnapshotPoint`: analyzed
-        apps, WebView/CT/both app counts, and percentage shares computed
-        with the exact in-memory arithmetic (``100.0 * count /
-        (analyzed or 1)``).
+        apps, WebView/CT/both app counts, and the percentage shares of
+        its reducer :func:`~repro.longitudinal.trends.share`.
         """
         key = ("adoption_trend", corpus, options)
         return self._cached(key, lambda: self._adoption_trend(
             corpus, options))
 
     def _adoption_trend(self, corpus, options):
+        from repro.longitudinal.trends import share
+
         sql = (
             "SELECT s.snapshot, s.items,"
             " COALESCE(SUM(o.uses_webview), 0),"
@@ -146,31 +145,29 @@ class ResultsService:
                 sql += " AND s.%s = ?" % column
                 params.append(value)
         sql += " GROUP BY s.seq ORDER BY s.snapshot, s.seq"
-        trend = []
-        for snapshot, analyzed, webview, ct, both in self.store._query(
-                sql, tuple(params)):
-            total = analyzed or 1
-            trend.append({
+        return [
+            {
                 "snapshot": snapshot,
                 "analyzed": analyzed,
                 "webview_apps": webview,
                 "ct_apps": ct,
                 "both_apps": both,
-                "webview_share": 100.0 * webview / total,
-                "ct_share": 100.0 * ct / total,
-                "both_share": 100.0 * both / total,
-            })
-        return trend
+                "webview_share": share(webview, analyzed),
+                "ct_share": share(ct, analyzed),
+                "both_share": share(both, analyzed),
+            }
+            for snapshot, analyzed, webview, ct, both in self.store._query(
+                sql, tuple(params))
+        ]
 
     def nutrition_label(self, package, corpus=None, options=None,
                         snapshot=None):
         """One app's third-party-web-content label, served from rows.
 
-        Rebuilds a live
-        :class:`~repro.static_analysis.nutrition.NutritionLabel` from
-        the stored outcome + SDK label rows; its derived ``grade`` and
-        ``disclosure_lines()`` are byte-equal to labelling the in-memory
-        analysis. Returns None for an unknown or failed app.
+        The stored outcome + SDK label rows go through
+        :func:`~repro.static_analysis.nutrition.make_label`, the reducer
+        behind ``build_label``; the derived grade must equal the stored
+        one. Returns None for an unknown or failed app.
         """
         key = ("nutrition_label", package, corpus, options, snapshot)
         return self._cached(key, lambda: self._nutrition_label(
@@ -178,44 +175,27 @@ class ResultsService:
 
     def _nutrition_label(self, package, corpus, options, snapshot):
         from repro.sdk.catalog import SdkCategory
-        from repro.static_analysis.nutrition import (
-            SENSITIVE_TYPES,
-            NutritionLabel,
-        )
+        from repro.static_analysis.nutrition import make_label
 
         seq = self.store.latest_seq("static", corpus, options, snapshot)
         if seq is None:
             return None
         rows = self.store._query(
-            "SELECT failed, uses_webview, uses_customtabs, grade,"
+            "SELECT failed, grade, uses_webview, uses_customtabs,"
             " exposes_js_bridge, can_inject_js, first_party_only"
             " FROM outcomes WHERE ingest_seq = ? AND package = ?",
             (seq, package),
         )
         if not rows or rows[0][0]:
             return None
-        (_, uses_webview, uses_customtabs, grade, bridge, inject,
-         first_party) = rows[0]
-        label = NutritionLabel(package)
-        label.uses_webview = bool(uses_webview)
-        label.uses_customtabs = bool(uses_customtabs)
-        label.displays_web_content = (label.uses_webview
-                                      or label.uses_customtabs)
-        label.exposes_js_bridge = bool(bridge)
-        label.can_inject_js = bool(inject)
-        label.first_party_only = bool(first_party)
+        grade, facts = rows[0][1], rows[0][2:]
         types = {"webview": [], "customtabs": []}
         for mechanism, value in self.store._query(
                 "SELECT DISTINCT mechanism, sdk_category FROM sdk_labels"
                 " WHERE ingest_seq = ? AND package = ?", (seq, package)):
             types[mechanism].append(SdkCategory(value))
-        label.webview_sdk_types = sorted(types["webview"],
-                                         key=lambda c: c.value)
-        label.ct_sdk_types = sorted(types["customtabs"],
-                                    key=lambda c: c.value)
-        label.sensitive_webview_types = [
-            c for c in label.webview_sdk_types if c in SENSITIVE_TYPES
-        ]
+        label = make_label(package, *facts, types["webview"],
+                           types["customtabs"])
         if label.grade != grade:
             raise ValueError(
                 "stored grade %r disagrees with derived grade %r for %s"
@@ -227,30 +207,29 @@ class ResultsService:
                          snapshot=None):
         """Figure 6 data for one app, served from endpoint rows.
 
-        Returns the same ``(means, type_means)`` pair as
-        :meth:`CrawlResult.endpoint_summary` — per-site-category mean
-        app-specific endpoints, and per-category per-endpoint-type mean
-        counts — reduced in Python with the identical arithmetic.
+        The ``(means, type_means)`` pair of
+        :meth:`CrawlResult.endpoint_summary`, from its reducer
+        :func:`~repro.dynamic.crawler.endpoint_summary` run over the
+        app's stored visits in crawl order.
         """
         key = ("endpoint_summary", app, corpus, options, snapshot)
         return self._cached(key, lambda: self._endpoint_summary(
             app, corpus, options, snapshot))
 
     def _endpoint_summary(self, app, corpus, options, snapshot):
+        from repro.dynamic.crawler import endpoint_summary
+
         seq = self.store.latest_seq("crawl", corpus, options, snapshot)
         if seq is None:
             return {}, {}
-        per_category_counts = collections.defaultdict(list)
-        for _, category, specific in self.store._query(
+        visits = {}
+        for position, category, specific in self.store._query(
                 "SELECT position, site_category, app_specific"
                 " FROM crawl_visits WHERE ingest_seq = ? AND app = ?"
                 " ORDER BY position", (seq, app)):
-            per_category_counts[category].append(specific)
-        per_category_types = collections.defaultdict(
-            lambda: collections.defaultdict(list))
-        for _, category, classification, hosts in self.store._query(
-                "SELECT v.position, v.site_category,"
-                " e.classification, COUNT(*)"
+            visits[position] = (category, specific, {})
+        for position, classification, hosts in self.store._query(
+                "SELECT v.position, e.classification, COUNT(*)"
                 " FROM endpoints e JOIN crawl_visits v"
                 " ON v.ingest_seq = e.ingest_seq AND v.app = e.app"
                 " AND v.site = e.site"
@@ -258,19 +237,8 @@ class ResultsService:
                 " AND e.app_specific = 1"
                 " GROUP BY v.position, e.classification"
                 " ORDER BY v.position", (seq, app)):
-            per_category_types[category][classification].append(hosts)
-        means = {
-            category: sum(counts) / len(counts)
-            for category, counts in per_category_counts.items()
-        }
-        type_means = {
-            category: {
-                endpoint_type: sum(counts) / len(counts)
-                for endpoint_type, counts in types.items()
-            }
-            for category, types in per_category_types.items()
-        }
-        return means, type_means
+            visits[position][2][classification] = hosts
+        return endpoint_summary(visits.values())
 
     def endpoint_census(self, app=None, app_specific_only=False,
                         corpus=None, options=None, snapshot=None):
@@ -371,44 +339,22 @@ class ResultsService:
 
         Byte-equal to
         :meth:`~repro.impact.census.ImpactResult.sdk_capability_ranking`:
-        the rows are fetched in selection order and reduced in Python
-        with the identical sort key, so the served ranking cannot drift
-        from the in-memory one.
+        its reducer, :func:`~repro.impact.census.capability_ranking`,
+        runs over the ``(sdk, severity)`` rows in selection order.
         """
         key = ("capability_ranking", corpus, options, snapshot)
         return self._cached(key, lambda: self._capability_ranking(
             corpus, options, snapshot))
 
     def _capability_ranking(self, corpus, options, snapshot):
-        from repro.impact.severity import SEVERITY_ORDER, severity_rank
+        from repro.impact.census import capability_ranking
 
         seq = self.store.latest_seq("impact", corpus, options, snapshot)
         if seq is None:
             return []
-        per_sdk = {}
-        for sdk, severity in self.store._query(
-                "SELECT sdk, severity FROM bridge_findings"
-                " WHERE ingest_seq = ? ORDER BY position", (seq,)):
-            counts = per_sdk.setdefault(sdk, dict.fromkeys(SEVERITY_ORDER,
-                                                           0))
-            counts[severity] += 1
-        ranked = sorted(
-            per_sdk.items(),
-            key=lambda item: (
-                tuple(-item[1][severity]
-                      for severity in reversed(SEVERITY_ORDER)),
-                item[0],
-            ),
-        )
-        result = []
-        for sdk, counts in ranked:
-            reached = max(
-                (severity for severity in SEVERITY_ORDER
-                 if counts[severity]),
-                key=severity_rank, default=SEVERITY_ORDER[0],
-            )
-            result.append((sdk, reached, counts))
-        return result
+        return capability_ranking(self.store._query(
+            "SELECT sdk, severity FROM bridge_findings"
+            " WHERE ingest_seq = ? ORDER BY position", (seq,)))
 
     def static_endpoints(self, source="static", app=None, corpus=None,
                          options=None, snapshot=None):
@@ -449,78 +395,47 @@ class ResultsService:
     def static_sdk_census(self, corpus=None, options=None, snapshot=None):
         """Per-SDK endpoint census rows, served from stored rows.
 
-        Byte-equal to
-        :meth:`~repro.endpoints.EndpointResult.sdk_census` rendered in
-        the census table's SDK order: ``[(sdk, {total, full, partial,
-        cleartext, credentials})]``. Rows are fetched in selection order
-        and reduced in Python with the identical arithmetic.
+        :meth:`~repro.endpoints.EndpointResult.sdk_census` in the
+        census table's SDK order, ``[(sdk, {total, full, partial,
+        cleartext, credentials})]``, from its reducer
+        :func:`~repro.endpoints.census.sdk_census`.
         """
         key = ("static_sdk_census", corpus, options, snapshot)
         return self._cached(key, lambda: self._static_sdk_census(
             corpus, options, snapshot))
 
     def _static_sdk_census(self, corpus, options, snapshot):
+        from repro.endpoints.census import sdk_census
+
         rows = self._static_endpoints("static", None, corpus, options,
                                       snapshot)
-        census = {}
-        for _, _, _, sdk, partial, cleartext, credentials, _ in rows:
-            row = census.setdefault(sdk, {
-                "total": 0, "full": 0, "partial": 0,
-                "cleartext": 0, "credentials": 0,
-            })
-            row["total"] += 1
-            row["partial" if partial else "full"] += 1
-            if cleartext:
-                row["cleartext"] += 1
-            if credentials:
-                row["credentials"] += 1
+        census = sdk_census(row[3:7] for row in rows)
         return [(sdk, census[sdk]) for sdk in sorted(census)]
 
     def validation(self, corpus=None, options=None, snapshot=None):
         """Per-SDK static-vs-dynamic precision/recall, served from rows.
 
         Byte-equal to
-        :meth:`~repro.endpoints.ValidationResult.as_rows`: ``[(sdk,
+        :meth:`~repro.endpoints.ValidationResult.as_rows` (``[(sdk,
         static_total, dynamic_total, matched_static, matched_dynamic,
-        precision, recall)]`` with the identical division and
-        ``round(x, 6)`` arithmetic, reduced in Python from the stored
-        validated rows.
+        precision, recall)]``): the stored validated rows go through
+        :func:`~repro.endpoints.crossval.validation_rows`, the reducer
+        behind :func:`~repro.endpoints.cross_validate`.
         """
         key = ("validation", corpus, options, snapshot)
         return self._cached(key, lambda: self._validation(
             corpus, options, snapshot))
 
     def _validation(self, corpus, options, snapshot):
+        from repro.endpoints.crossval import validation_rows
+
         seq = self.store.latest_seq("endpoints", corpus, options, snapshot)
         if seq is None:
             return []
-        per_sdk = {}
-
-        def entry(sdk):
-            return per_sdk.setdefault(sdk, [0, 0, 0, 0])
-
-        for source, sdk, matched in self.store._query(
-                "SELECT source, sdk, matched FROM static_endpoints"
-                " WHERE ingest_seq = ? AND validated = 1"
-                " ORDER BY position", (seq,)):
-            counts = entry(sdk)
-            if source == "static":
-                counts[0] += 1
-                counts[2] += matched
-            else:
-                counts[1] += 1
-                counts[3] += matched
-        rows = []
-        for sdk in sorted(per_sdk):
-            static_total, dynamic_total, matched_static, \
-                matched_dynamic = per_sdk[sdk]
-            precision = (round(matched_static / static_total, 6)
-                         if static_total else 0.0)
-            recall = (round(matched_dynamic / dynamic_total, 6)
-                      if dynamic_total else 0.0)
-            rows.append((sdk, static_total, dynamic_total, matched_static,
-                         matched_dynamic, precision, recall))
-        return rows
+        return [row.as_row() for row in validation_rows(self.store._query(
+            "SELECT source, sdk, matched FROM static_endpoints"
+            " WHERE ingest_seq = ? AND validated = 1"
+            " ORDER BY position", (seq,)))]
 
     def funnel(self, corpus=None, options=None, snapshot=None):
         """The latest static ingest's Table 2 funnel dict."""

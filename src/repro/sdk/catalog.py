@@ -154,10 +154,6 @@ class SdkProfile:
     def webview_probability(self):
         return self.webview_apps / PAPER_TOTAL_APPS
 
-    @property
-    def ct_probability(self):
-        return self.ct_apps / PAPER_TOTAL_APPS
-
     def method_profile(self):
         return METHOD_PROFILES[self.category]
 

@@ -9,7 +9,6 @@ involved — and grades the app's web-content hygiene.
 """
 
 from repro.sdk.catalog import SdkCategory
-from repro.static_analysis.results import RecordedCall
 
 #: SDK types whose WebView use handles sensitive data (paper's takeaways).
 SENSITIVE_TYPES = (
@@ -98,36 +97,53 @@ class NutritionLabel:
         return "NutritionLabel(%s, grade=%s)" % (self.package, self.grade)
 
 
-def build_label(analysis, attribution):
-    """Derive a label from an AppAnalysis + its SdkAttribution."""
-    label = NutritionLabel(analysis.package)
-    label.uses_webview = analysis.uses_webview
-    label.uses_customtabs = analysis.uses_customtabs
+def make_label(package, uses_webview, uses_customtabs, exposes_js_bridge,
+               can_inject_js, first_party_only, webview_sdk_types,
+               ct_sdk_types):
+    """Assemble a label from an app's facts and its SDK categories.
+
+    The one reduction behind :func:`build_label`, which derives the
+    facts from a live analysis, and the served
+    ``ResultsService.nutrition_label``, which reads them from stored
+    rows. The category collections may hold each category once in any
+    order; the label sorts them.
+    """
+    label = NutritionLabel(package)
+    label.uses_webview = bool(uses_webview)
+    label.uses_customtabs = bool(uses_customtabs)
     label.displays_web_content = label.uses_webview or label.uses_customtabs
-
-    methods = analysis.webview_methods_used()
-    label.exposes_js_bridge = "addJavascriptInterface" in methods
-    label.can_inject_js = "evaluateJavascript" in methods
-
-    label.webview_sdk_types = sorted(
-        {sdk.category for sdk in attribution.webview.sdks},
-        key=lambda c: c.value,
-    )
-    label.ct_sdk_types = sorted(
-        {sdk.category for sdk in attribution.customtabs.sdks},
-        key=lambda c: c.value,
-    )
+    label.exposes_js_bridge = bool(exposes_js_bridge)
+    label.can_inject_js = bool(can_inject_js)
+    label.first_party_only = bool(first_party_only)
+    label.webview_sdk_types = sorted(webview_sdk_types,
+                                     key=lambda c: c.value)
+    label.ct_sdk_types = sorted(ct_sdk_types, key=lambda c: c.value)
     label.sensitive_webview_types = [
         c for c in label.webview_sdk_types if c in SENSITIVE_TYPES
     ]
-    label.first_party_only = (
-        label.uses_webview
-        and attribution.webview.first_party
-        and not attribution.webview.sdks
-        and not attribution.webview.unknown_packages
-        and not attribution.webview.obfuscated_packages
-    )
     return label
+
+
+def build_label(analysis, attribution):
+    """Derive a label from an AppAnalysis + its SdkAttribution."""
+    methods = analysis.webview_methods_used()
+    webview = attribution.webview
+    return make_label(
+        analysis.package,
+        analysis.uses_webview,
+        analysis.uses_customtabs,
+        exposes_js_bridge="addJavascriptInterface" in methods,
+        can_inject_js="evaluateJavascript" in methods,
+        first_party_only=(
+            analysis.uses_webview
+            and webview.first_party
+            and not webview.sdks
+            and not webview.unknown_packages
+            and not webview.obfuscated_packages
+        ),
+        webview_sdk_types={sdk.category for sdk in webview.sdks},
+        ct_sdk_types={sdk.category for sdk in attribution.customtabs.sdks},
+    )
 
 
 def label_study(result, limit=None):

@@ -239,9 +239,6 @@ class StudyResult:
     def both_apps(self):
         return [a for a in self.successful() if a.uses_both]
 
-    def attribution_for(self, analysis):
-        return analysis.label_sdks(self.labeler)
-
     def funnel_dict(self):
         return {
             "androzoo_play_apps": self.androzoo_play_apps,

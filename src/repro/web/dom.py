@@ -26,10 +26,6 @@ class Node:
         self.parent = None
         self.children = []
 
-    @property
-    def parent_node(self):
-        return self.parent
-
     def append_child(self, node):
         node.detach()
         node.parent = self

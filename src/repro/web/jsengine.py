@@ -736,10 +736,6 @@ def taint_labels(value):
     return getattr(value, "taint_labels", frozenset())
 
 
-def is_tainted(value):
-    return bool(taint_labels(value))
-
-
 def _collect_taint_labels(value, _depth=0):
     """All taint labels reachable from a value, including through
     object properties and array elements (``JSON.stringify`` serialises

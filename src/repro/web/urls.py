@@ -146,9 +146,6 @@ class Url:
     def same_origin(self, other):
         return self.origin == other.origin
 
-    def with_path(self, path, query=""):
-        return Url(self.scheme, self.host, self.port, path, query)
-
     @property
     def query_params(self):
         """Decoded query parameters as an ordered ``{key: [values]}``.

@@ -43,9 +43,6 @@ class WebApiRecorder:
     def record(self, interface, method, args=()):
         self.calls.append(WebApiCall(interface, method, args))
 
-    def interfaces_used(self):
-        return sorted({call.interface for call in self.calls})
-
     def methods_by_interface(self):
         """Table 9 view: interface -> sorted distinct method names."""
         grouped = defaultdict(set)

@@ -8,10 +8,8 @@ import pytest
 from repro.exec import (
     AnalysisCache,
     BACKEND_AUTO,
-    BACKEND_ENV_VAR,
     BACKEND_INLINE,
     BACKEND_PROCESS,
-    CHUNK_SIZE_ENV_VAR,
     DEFAULT_MAX_ATTEMPTS,
     ExecConfig,
     ExecConfigError,
@@ -32,8 +30,6 @@ needs_processes = pytest.mark.skipif(
 class TestExecConfig:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv(MAX_WORKERS_ENV_VAR, raising=False)
-        monkeypatch.delenv(CHUNK_SIZE_ENV_VAR, raising=False)
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         config = ExecConfig()
         assert config.max_workers == 1
         assert config.chunk_size == 8
@@ -41,13 +37,14 @@ class TestExecConfig:
         assert config.resolved_backend == BACKEND_INLINE
 
     def test_env_overrides(self, monkeypatch):
+        # Only the pool size comes from the environment; chunk size and
+        # backend keep their defaults.
         monkeypatch.setenv(MAX_WORKERS_ENV_VAR, "4")
-        monkeypatch.setenv(CHUNK_SIZE_ENV_VAR, "3")
-        monkeypatch.setenv(BACKEND_ENV_VAR, BACKEND_INLINE)
         config = ExecConfig()
         assert config.max_workers == 4
-        assert config.chunk_size == 3
-        assert config.resolved_backend == BACKEND_INLINE
+        assert config.chunk_size == 8
+        assert config.backend == BACKEND_AUTO
+        assert config.resolved_backend == BACKEND_PROCESS
 
     def test_arguments_beat_env(self, monkeypatch):
         monkeypatch.setenv(MAX_WORKERS_ENV_VAR, "4")
@@ -85,7 +82,6 @@ class TestExecConfig:
         # The retry budget is the argument's or the default, whatever
         # the pool-sizing environment says.
         monkeypatch.setenv(MAX_WORKERS_ENV_VAR, "4")
-        monkeypatch.setenv(CHUNK_SIZE_ENV_VAR, "3")
         assert ExecConfig().max_attempts == DEFAULT_MAX_ATTEMPTS
         assert ExecConfig(max_attempts=5).max_attempts == 5
         with pytest.raises(ExecConfigError):

@@ -21,6 +21,7 @@ from repro.longitudinal import (
 )
 from repro.longitudinal import runstore as runstore_module
 from repro.obs import Obs
+from repro.results import ResultsService, ResultsStore
 from repro.static_analysis.export import export_study_json
 from repro.static_analysis.pipeline import StaticAnalysisPipeline
 
@@ -344,3 +345,28 @@ class TestTrendsAndFacade:
         apps = registry.label_values(LONGITUDINAL_APPS_METRIC)
         assert apps.get(("fresh",), 0) > 0
         assert apps.get(("carried",), 0) > 0
+
+
+class TestServedTrend:
+    def test_served_trend_equals_trend_series(self, tmp_path):
+        # Every field of every snapshot: counts and all three shares.
+        store = ResultsStore(str(tmp_path / "results.db"))
+        study = LongitudinalStudy(universe_size=3000, seed=11,
+                                  dates=("2023-04-13", "2023-07-13"),
+                                  results_store=store)
+        study.run_all()
+        expected = [
+            {
+                "snapshot": point.date.isoformat(),
+                "analyzed": point.analyzed,
+                "webview_apps": point.aggregator.webview_apps,
+                "ct_apps": point.aggregator.ct_apps,
+                "both_apps": point.aggregator.both_apps,
+                "webview_share": point.webview_share,
+                "ct_share": point.ct_share,
+                "both_share": point.both_share,
+            }
+            for point in study.trend().points
+        ]
+        assert len(expected) == 3
+        assert ResultsService(store).adoption_trend() == expected

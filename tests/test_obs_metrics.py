@@ -1,4 +1,4 @@
-"""Tests for the metrics registry and its two exporters."""
+"""Tests for the metrics registry and its JSON exporter."""
 
 import pytest
 
@@ -11,8 +11,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     TickClock,
     default_registry,
-    parse_prometheus_text,
-    validate_prometheus_text,
 )
 
 
@@ -131,117 +129,9 @@ class TestJsonExporter:
         assert hist.bucket_counts()[5.0] == 2
 
 
-class TestPrometheusExporter:
-    def test_text_format_shape(self):
-        text = _populated_registry().render_prometheus()
-        assert "# TYPE apps_total counter" in text
-        assert "# HELP drops_total Drops." in text
-        assert 'drops_total{reason="broken_apk"} 3' in text
-        assert "visit_endpoints_count 4" in text
-        assert 'visit_endpoints_bucket{le="+Inf"} 4' in text
-
-    def test_round_trip(self):
-        registry = _populated_registry()
-        parsed = parse_prometheus_text(registry.render_prometheus())
-        assert parsed == registry.flat_samples()
-
-
 class TestTickClock:
     def test_deterministic_advance(self):
         clock = TickClock(step=0.5)
         assert [clock() for _ in range(3)] == [0.0, 0.5, 1.0]
         fresh = TickClock(step=0.5)
         assert [fresh() for _ in range(3)] == [0.0, 0.5, 1.0]
-
-
-class TestLabelEscaping:
-    def test_nasty_label_values_round_trip(self):
-        # Backslashes, quotes, newlines, and sequences that look like
-        # escapes must survive render -> parse unchanged.
-        nasty = [
-            'quote"quote',
-            "back\\slash",
-            "new\nline",
-            "\\n",          # literal backslash-n, not a newline
-            '\\"',          # literal backslash-quote
-            "trailing\\",
-            'mix\\"and\nmatch',
-        ]
-        registry = MetricsRegistry()
-        counter = registry.counter("drops_total", labelnames=("reason",))
-        for index, value in enumerate(nasty):
-            counter.labels(reason=value).inc(index + 1)
-        parsed = parse_prometheus_text(registry.render_prometheus())
-        assert parsed == registry.flat_samples()
-        for index, value in enumerate(nasty):
-            key = ("drops_total", frozenset({("reason", value)}))
-            assert parsed[key] == index + 1
-
-    def test_rendered_nasty_labels_validate_cleanly(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("drops_total", labelnames=("reason",))
-        for value in ('a"b', "a\\b", "a\nb", "\\n\\\\"):
-            counter.labels(reason=value).inc()
-        assert validate_prometheus_text(registry.render_prometheus()) == []
-
-
-class TestValidation:
-    def test_clean_render_has_no_problems(self):
-        text = _populated_registry().render_prometheus()
-        assert validate_prometheus_text(text) == []
-
-    def test_unparseable_sample_reported(self):
-        problems = validate_prometheus_text("not a metric line at all\n")
-        assert len(problems) == 1
-        assert "unparseable sample" in problems[0]
-
-    def test_unknown_type_reported(self):
-        problems = validate_prometheus_text(
-            "# TYPE foo_total widget\nfoo_total 1\n"
-        )
-        assert any("unknown TYPE" in p for p in problems)
-
-    def test_bad_sample_value_reported(self):
-        problems = validate_prometheus_text("foo_total banana\n")
-        assert any("bad sample value" in p for p in problems)
-
-    def test_unescaped_label_value_reported(self):
-        text = '# TYPE d_total counter\nd_total{r="a"b"} 1\n'
-        problems = validate_prometheus_text(text)
-        assert any("well-escaped" in p for p in problems)
-
-    def test_histogram_inf_bucket_must_match_count(self):
-        text = "\n".join([
-            "# TYPE lat histogram",
-            'lat_bucket{le="1"} 2',
-            'lat_bucket{le="+Inf"} 3',
-            "lat_sum 4.5",
-            "lat_count 4",  # disagrees with the +Inf bucket
-            "",
-        ])
-        problems = validate_prometheus_text(text)
-        assert any("+Inf" in p or "count" in p for p in problems)
-
-    def test_histogram_buckets_must_be_cumulative(self):
-        text = "\n".join([
-            "# TYPE lat histogram",
-            'lat_bucket{le="1"} 5',
-            'lat_bucket{le="2"} 3',  # decreasing
-            'lat_bucket{le="+Inf"} 5',
-            "lat_sum 9.0",
-            "lat_count 5",
-            "",
-        ])
-        problems = validate_prometheus_text(text)
-        assert problems
-
-    def test_histogram_missing_sum_reported(self):
-        text = "\n".join([
-            "# TYPE lat histogram",
-            'lat_bucket{le="1"} 1',
-            'lat_bucket{le="+Inf"} 1',
-            "lat_count 1",
-            "",
-        ])
-        problems = validate_prometheus_text(text)
-        assert any("_sum" in p or "sum" in p for p in problems)
