@@ -1,14 +1,15 @@
 """Shared benchmark-summary emitter.
 
-Every ``bench_*.py`` module funnels its machine-readable summary through
-:func:`emit_bench`, which
+Every paper benchmark (``bench_table*``, ``bench_fig*``,
+``bench_ablations``, ``bench_ext_partial_ct``) funnels its
+machine-readable summary through :func:`emit_bench`, which
 
 - stamps a ``schema_version`` (bumped on layout changes, so downstream
   tooling can reject payloads it does not understand) plus the
   benchmark's name and the working tree's ``git describe``;
-- writes ``BENCH_<name>.json`` next to the benchmarks (override the
-  path with ``REPRO_BENCH_JSON``), sorted and newline-terminated so the
-  checked-in copies diff cleanly;
+- writes ``BENCH_<name>.json`` next to the benchmarks, sorted and
+  newline-terminated so the checked-in copies diff cleanly (the paper
+  gate fails on any difference but the ``git`` stamp);
 - best-effort registers the payload into the persistent telemetry store
   when ``REPRO_OBS_DB`` is set — giving benchmark history the same run
   ledger the studies get, queryable via ``python -m repro.obs.store``.
@@ -28,21 +29,11 @@ from repro.obs.store import TelemetryStore, git_describe
 #: Bump when the emitted payload layout changes incompatibly.
 SCHEMA_VERSION = 1
 
-BENCH_JSON_ENV_VAR = "REPRO_BENCH_JSON"
-
 _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def bench_json_path(name):
-    """Where ``BENCH_<name>.json`` lands (``REPRO_BENCH_JSON`` wins)."""
-    override = os.environ.get(BENCH_JSON_ENV_VAR)
-    if override and override.strip():
-        return override
-    return os.path.join(_BENCH_DIR, "BENCH_%s.json" % name)
-
-
 def emit_bench(name, data):
-    """Write one benchmark summary; returns the enriched payload.
+    """Write ``BENCH_<name>.json``; returns the enriched payload.
 
     The telemetry registration is strictly best-effort: a missing,
     unwritable or corrupt ``REPRO_OBS_DB`` never fails a benchmark (the
@@ -51,11 +42,10 @@ def emit_bench(name, data):
     """
     payload = dict(data)
     payload["schema_version"] = SCHEMA_VERSION
-    # ``name`` names the file; a module may label the payload itself
-    # more specifically (e.g. BENCH_throughput.json / pipeline_throughput).
-    payload.setdefault("benchmark", name)
+    payload["benchmark"] = name
     payload.setdefault("git", git_describe())
-    with open(bench_json_path(name), "w") as handle:
+    path = os.path.join(_BENCH_DIR, "BENCH_%s.json" % name)
+    with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     try:
@@ -72,16 +62,14 @@ def bench_json_fixture(name, **base):
 
     Usage in a benchmark module::
 
-        bench_json = bench_json_fixture("dynamic", site_count=20)
+        bench_json = bench_json_fixture("ablations", universe_size=25_000)
 
-    Extra keyword arguments seed the dict; callables are invoked at
-    fixture setup (so env-dependent values resolve per run).
+    Extra keyword arguments seed the dict.
     """
 
     @pytest.fixture(scope="module", name="bench_json")
     def fixture():
-        data = {key: (value() if callable(value) else value)
-                for key, value in base.items()}
+        data = dict(base)
         yield data
         emit_bench(name, data)
 

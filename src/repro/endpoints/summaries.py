@@ -327,7 +327,9 @@ def summary_for_class(dex_class, cache=None, recorder=None, clock=None):
                                         canonical=canonical)
     end = clock() if clock is not None else 0.0
     if computed:
-        summary.cost = end - start
+        # Rounded to the nanosecond: the same duration read at two
+        # clock offsets differs in its last bits across workers.
+        summary.cost = round(end - start, 9)
         if cache is not None:
             cache.put(digest, summary)
         if recorder is not None:

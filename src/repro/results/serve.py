@@ -6,10 +6,10 @@ from a :class:`~repro.results.store.ResultsStore` with prepared,
 parameterized queries. Design points:
 
 - **One reduction per answer.** Every served answer is asserted (in
-  tests and ``benchmarks/bench_serving.py``) equal to the in-memory
-  one. SQL only selects, filters and orders rows and runs exact integer
-  ``COUNT``/``SUM``s; the rest is the reducer that the owning module's
-  in-memory method calls (``share``, ``make_label``,
+  tests and in ``benchmarks/e2e``'s paper-mix gate) equal to the
+  in-memory one. SQL only selects, filters and orders rows and runs
+  exact integer ``COUNT``/``SUM``s; the rest is the reducer that the
+  owning module's in-memory method calls (``share``, ``make_label``,
   ``endpoint_summary``, ``capability_ranking``, ``sdk_census``,
   ``validation_rows``), run over the stored rows.
 - **Generation-keyed LRU cache.** Query answers are memoized under

@@ -118,7 +118,9 @@ def facts_for_class(dex_class, decompiler, cache=None, recorder=None,
                                     canonical=canonical)
     end = clock() if clock is not None else 0.0
     if computed:
-        facts.cost = end - start
+        # Rounded to the nanosecond: the same duration read at two
+        # clock offsets differs in its last bits across workers.
+        facts.cost = round(end - start, 9)
         if cache is not None:
             cache.put(digest, facts)
         if recorder is not None:

@@ -28,6 +28,7 @@ from repro.obs import (
     EXEC_CACHE_EVICTIONS_METRIC,
     EXEC_CLASS_CACHE_HITS_METRIC,
     EXEC_CLASS_CACHE_MISSES_METRIC,
+    EXEC_CLASS_TIME_SAVED_METRIC,
     Obs,
 )
 from repro.static_analysis.classfacts import (
@@ -42,12 +43,13 @@ from repro.static_analysis.pipeline import StaticAnalysisPipeline
 UNIVERSE = 600
 
 
-def _study(class_cache, backend, workers, universe=UNIVERSE, cache=None):
+def _study(class_cache, backend, workers, universe=UNIVERSE, cache=None,
+           seed=11, chunk_size=None):
     """One same-seed study run; returns (exported JSON, obs bundle)."""
-    corpus = generate_corpus(CorpusConfig(seed=11, universe_size=universe))
+    corpus = generate_corpus(CorpusConfig(seed=seed, universe_size=universe))
     obs = Obs()
     config = ExecConfig(max_workers=workers, backend=backend,
-                        cache=class_cache)
+                        cache=class_cache, chunk_size=chunk_size)
     pipeline = StaticAnalysisPipeline(corpus, obs=obs, exec_config=config,
                                       cache=cache)
     result = pipeline.run()
@@ -90,6 +92,20 @@ class TestStudyEquivalence:
                 obs.registry.value(EXEC_CLASS_CACHE_MISSES_METRIC),
             ))
         assert len(counts) == 1
+
+    def test_time_saved_identical_across_backends(self):
+        # Each class's cost is the difference of two clock readings taken
+        # at whatever offset the computing worker's clock has reached.
+        # This seed and chunk size put classes at offsets where the
+        # unrounded difference differs in its last bits between the
+        # inline and process backends.
+        saved = set()
+        for backend in ("inline", "process"):
+            _, obs = _study(True, backend, 4, universe=800, seed=4242,
+                            chunk_size=4)
+            saved.add(obs.registry.value(EXEC_CLASS_TIME_SAVED_METRIC))
+        assert len(saved) == 1
+        assert saved.pop() > 0
 
     def test_warm_class_tier_hits_everything(self):
         cold_cache = AnalysisCache()

@@ -32,6 +32,7 @@ from repro.web.jsengine import (
     record_script_events,
     script_cache_override,
     script_digest,
+    taint_override,
 )
 from repro.web.sites import top_sites
 from repro.web.urls import parse_url, parse_url_cached
@@ -106,6 +107,17 @@ class TestShardedCrawlDeterminism:
         strip = lambda metrics: [m for m in metrics
                                  if m["name"] != "repro_exec_backend_info"]
         assert (strip(metric_dicts(obs_p)) == strip(metric_dicts(obs_i)))
+
+    def test_taint_on_crawl_identical_to_plain(self, serial):
+        # The taint layer observes and never perturbs. Inline, so the
+        # context-local override reaches every shard.
+        _, plain, plain_obs = serial
+        with taint_override(True):
+            _, tainted, taint_obs = run_crawl(workers=1, cache=False,
+                                              backend="inline")
+        assert visit_snapshot(tainted) == visit_snapshot(plain)
+        assert (metric_dicts(taint_obs, exclude_exec=True)
+                == metric_dicts(plain_obs, exclude_exec=True))
 
     def test_baseline_differencing_matches_serial(self, serial):
         _, result1, _ = serial

@@ -17,12 +17,18 @@ from repro.endpoints import (
 )
 from repro.errors import EndpointError, error_slug
 from repro.exec import (
+    AnalysisCache,
     CLASS_FACTS_KIND,
     ClassFactsCache,
     ENDPOINT_SUMMARY_KIND,
     ExecConfig,
 )
-from repro.obs import DROPS_METRIC, Obs
+from repro.obs import (
+    DROPS_METRIC,
+    ENDPOINTS_SUMMARY_CACHE_HITS_METRIC,
+    ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC,
+    Obs,
+)
 from repro.results.serve import ResultsService, main as results_main
 from repro.results.store import ResultsStore
 
@@ -284,18 +290,26 @@ def census_snapshot(result):
     ], sort_keys=True)
 
 
-def run_census(corpus=None, **exec_kwargs):
+def endpoint_counters(census):
+    """The census's own ``repro_endpoints_*`` metrics, summary-cache
+    counters and time saved included."""
+    return [m for m in census.obs.registry.as_dict()["metrics"]
+            if m["name"].startswith("repro_endpoints_")]
+
+
+def run_census(corpus=None, analysis_cache=None, **exec_kwargs):
     if corpus is None:
         corpus = generate_corpus(CorpusConfig(universe_size=120))
-    census = EndpointCensus(corpus, obs=Obs(),
+    census = EndpointCensus(corpus, obs=Obs(), cache=analysis_cache,
                             exec_config=ExecConfig(**exec_kwargs))
     return census, census.run()
 
 
 class TestCensusDeterminism:
     def test_byte_identical_across_workers_and_backends(self):
-        _, base = run_census(max_workers=1)
+        base_census, base = run_census(max_workers=1)
         reference = census_snapshot(base)
+        counters = endpoint_counters(base_census)
         for kwargs in (
             dict(max_workers=4, backend="process"),
             dict(max_workers=4, backend="inline"),
@@ -304,8 +318,13 @@ class TestCensusDeterminism:
             dict(max_workers=1, cache=False),
             dict(max_workers=4, backend="process", cache=False),
         ):
-            _, result = run_census(**kwargs)
+            census, result = run_census(**kwargs)
             assert census_snapshot(result) == reference, kwargs
+            if census.exec_config.cache == base_census.exec_config.cache:
+                # Same cache setting as the serial run: every endpoint
+                # counter agrees too, since the summary accounting
+                # replays in selection order.
+                assert endpoint_counters(census) == counters, kwargs
 
     def test_warm_outcome_tier_skips_synthesis(self):
         corpus = generate_corpus(CorpusConfig(universe_size=120))
@@ -315,14 +334,27 @@ class TestCensusDeterminism:
         assert census2._cache_hits.value == len(census2.apps)
         assert census2._cache_misses.value == 0
 
+    def test_warm_summary_tier_serves_every_class(self):
+        # A fresh outcome tier over the summaries a first census left
+        # behind: every app is reconstructed again, every class summary
+        # is served from the cache.
+        corpus = generate_corpus(CorpusConfig(universe_size=120))
+        _, cold = run_census(corpus=corpus, max_workers=1, cache=True)
+        census, warm = run_census(
+            corpus=corpus, max_workers=1, cache=True,
+            analysis_cache=AnalysisCache(
+                summaries=corpus.analysis_cache.summaries),
+        )
+        registry = census.obs.registry
+        assert registry.value(ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC) == 0
+        assert registry.value(ENDPOINTS_SUMMARY_CACHE_HITS_METRIC) > 0
+        assert census._cache_hits.value == 0
+        assert census_snapshot(warm) == census_snapshot(cold)
+
     def test_summary_metrics_deterministic_across_backends(self):
         def summary_counters(**kwargs):
             census, _ = run_census(**kwargs)
             registry = census.obs.registry
-            from repro.obs import (
-                ENDPOINTS_SUMMARY_CACHE_HITS_METRIC,
-                ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC,
-            )
             return (
                 registry.get(ENDPOINTS_SUMMARY_CACHE_HITS_METRIC).value,
                 registry.get(ENDPOINTS_SUMMARY_CACHE_MISSES_METRIC).value,

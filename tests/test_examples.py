@@ -1,19 +1,26 @@
-"""Smoke tests: every shipped example runs end-to-end at small scale."""
+"""Smoke tests: every shipped example, and every Python block in the
+README, runs end-to-end."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
+
+
+def run_python(*args):
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=300,
+    )
 
 
 def run_example(name, *args):
-    return subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / name), *args],
-        capture_output=True, text=True, timeout=300,
-    )
+    return run_python(str(EXAMPLES_DIR / name), *args)
 
 
 @pytest.mark.parametrize("name,args,expect", [
@@ -35,3 +42,18 @@ def test_quickstart_reports_paper_comparison():
     completed = run_example("quickstart.py", "3000")
     assert "55.7%" in completed.stdout
     assert "apps using WebViews" in completed.stdout
+
+
+def readme_python_blocks():
+    """One param per ```python block of README, named by its section."""
+    text = (ROOT / "README.md").read_text("utf-8")
+    return [pytest.param(source, id=section.split("\n", 1)[0])
+            for section in text.split("\n## ")
+            for source in re.findall(r"^```python\n(.*?)^```", section,
+                                     re.S | re.M)]
+
+
+@pytest.mark.parametrize("source", readme_python_blocks())
+def test_readme_block_runs(source):
+    completed = run_python("-c", source)
+    assert completed.returncode == 0, completed.stderr[-2000:]

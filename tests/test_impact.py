@@ -256,13 +256,17 @@ class TestProbeApp:
 
 class TestCensus:
     @pytest.fixture(scope="class")
-    def result(self):
+    def serial(self):
         census = ImpactCensus(
             apps=real_app_profiles(), seed=0, obs=Obs(),
             exec_config=ExecConfig(max_workers=1, chunk_size=1,
                                    backend="inline"),
         )
-        return census.run()
+        return census, census.run()
+
+    @pytest.fixture(scope="class")
+    def result(self, serial):
+        return serial[1]
 
     def _snapshot(self, result):
         return [
@@ -270,6 +274,12 @@ class TestCensus:
              f.invocable, f.flow_count, f.methods, f.cleartext)
             for f in result.findings
         ]
+
+    def _non_exec_metrics(self, census):
+        # The exec metrics encode the worker/backend configuration;
+        # everything else must not depend on it.
+        return [m for m in census.obs.registry.as_dict()["metrics"]
+                if not m["name"].startswith("repro_exec_")]
 
     def _run(self, **config):
         config.setdefault("chunk_size", 1)
@@ -279,13 +289,17 @@ class TestCensus:
         )
         return census, census.run()
 
-    def test_identical_across_worker_counts(self, result):
-        _, sharded = self._run(max_workers=4, backend="inline")
-        assert self._snapshot(sharded) == self._snapshot(result)
+    def test_identical_across_worker_counts(self, serial):
+        census, sharded = self._run(max_workers=4, backend="inline")
+        assert self._snapshot(sharded) == self._snapshot(serial[1])
+        assert (self._non_exec_metrics(census)
+                == self._non_exec_metrics(serial[0]))
 
-    def test_identical_across_backends(self, result):
-        _, processed = self._run(max_workers=2, backend="process")
-        assert self._snapshot(processed) == self._snapshot(result)
+    def test_identical_across_backends(self, serial):
+        census, processed = self._run(max_workers=2, backend="process")
+        assert self._snapshot(processed) == self._snapshot(serial[1])
+        assert (self._non_exec_metrics(census)
+                == self._non_exec_metrics(serial[0]))
 
     def test_identical_with_streaming(self, result):
         # Out-of-order completions, merged through the prefix flush:

@@ -5,6 +5,7 @@ import pytest
 from repro.corpus import CorpusConfig, build_app_apk, generate_corpus
 from repro.corpus.profiles import build_spec
 from repro.errors import BrokenApkError
+from repro.obs import EXEC_TASKS_METRIC, EXEC_WORKER_BUSY_METRIC, Obs
 from repro.playstore.models import AppCategory
 from repro.sdk import SdkCategory, build_catalog
 from repro.static_analysis import (
@@ -12,6 +13,7 @@ from repro.static_analysis import (
     StaticAnalysisPipeline,
     analyze_apk_bytes,
 )
+from repro.static_analysis.export import export_study_json
 from repro.static_analysis.report import (
     Aggregator,
     figure3,
@@ -223,6 +225,18 @@ class TestStudyRun:
             x.uses_webview for x in b.analyses
         ]
 
+    def test_repeat_run_served_from_outcome_tier(self, corpus, result):
+        # Both runs share the corpus's outcome tier: the second analyzes
+        # nothing and returns the first run's results.
+        obs = Obs()
+        repeat = StaticAnalysisPipeline(corpus, obs=obs).run()
+        registry = obs.registry
+        assert set(registry.label_values(EXEC_TASKS_METRIC)) == {
+            ("cached",)}
+        assert sum(
+            registry.label_values(EXEC_WORKER_BUSY_METRIC).values()) == 0
+        assert export_study_json(repeat) == export_study_json(result)
+
 
 class TestParallelExecution:
     """Determinism and fault isolation of the sharded execution layer."""
@@ -253,7 +267,7 @@ class TestParallelExecution:
     def test_failures_become_drops_not_aborts(self):
         from repro.errors import RepositoryError, error_slug
         from repro.exec import AnalysisCache
-        from repro.obs import APPS_LISTED_METRIC, DROPS_METRIC, Obs
+        from repro.obs import APPS_LISTED_METRIC, DROPS_METRIC
 
         corpus = generate_corpus(CorpusConfig(universe_size=2_000, seed=99),
                                  obs=Obs())
