@@ -18,7 +18,7 @@ runs; its files follow :mod:`repro.persist` (atomic writes, a corrupt
 file reads as a miss). Facts are options-independent — they are pure
 functions of the class bytes — so the class tier needs no fingerprint.
 The same store holds the endpoint census's propagation summaries and
-the JS engine's parsed scripts, each as its own fact kind;
+the JS engine's compiled scripts, each as its own fact kind;
 ``REPRO_CACHE=0`` turns off all three (see :mod:`repro.exec.config`).
 """
 
@@ -97,7 +97,7 @@ CLASS_FACTS_KIND = "cls"
 #: Endpoint string-propagation summaries (:mod:`repro.endpoints.summaries`).
 ENDPOINT_SUMMARY_KIND = "esum"
 
-#: Parsed injected scripts (:mod:`repro.web.jsengine`), keyed by source
+#: Compiled injected scripts (:mod:`repro.web.jsengine`), keyed by source
 #: digest plus instrumentation mode rather than by class digest.
 PARSED_SCRIPT_KIND = "js"
 
@@ -108,7 +108,7 @@ class ClassFactsCache:
     Keys are content digests; values are one *fact kind* —
     :class:`~repro.static_analysis.classfacts.ClassFacts` by default, or
     any other picklable derivation of the content (endpoint propagation
-    summaries use :data:`ENDPOINT_SUMMARY_KIND`, parsed scripts
+    summaries use :data:`ENDPOINT_SUMMARY_KIND`, compiled scripts
     :data:`PARSED_SCRIPT_KIND`). The in-memory LRU is
     backed by an optional on-disk layer: one pickle per digest, written
     with :func:`repro.persist.atomic_write` and read with

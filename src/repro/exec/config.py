@@ -7,7 +7,7 @@ than one worker is requested.
 ``REPRO_CACHE`` (on by default) gates the three content-addressed
 tiers that memoize work shared across apps: the static pipeline's
 class-facts tier (:mod:`repro.exec.cache`), the endpoint census's
-propagation-summary tier (:mod:`repro.endpoints`) and the parsed-script
+propagation-summary tier (:mod:`repro.endpoints`) and the compiled-script
 tier of :mod:`repro.web.jsengine`. Results, reports and metrics are
 byte-identical either way; the CI matrix runs a leg with it off to prove
 it. It does not gate the per-APK outcome tier or the longitudinal

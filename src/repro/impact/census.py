@@ -77,7 +77,7 @@ def _run_impact_shard(settings, shard):
 
     Identical inline and in a worker process: fresh tracer, fresh
     deterministic TickClock (unless a real clock was injected), fresh
-    simulated device per app, and the parsed-script cache switched by
+    simulated device per app, and the compiled-script cache switched by
     ``settings.cache``, as in the crawl shard.
     """
     app = shard.app
