@@ -10,9 +10,10 @@ machine-readable summary through :func:`emit_bench`, which
 - writes ``BENCH_<name>.json`` next to the benchmarks, sorted and
   newline-terminated so the checked-in copies diff cleanly (the paper
   gate fails on any difference but the ``git`` stamp);
-- best-effort registers the payload into the persistent telemetry store
-  when ``REPRO_OBS_DB`` is set — giving benchmark history the same run
-  ledger the studies get, queryable via ``python -m repro.obs.store``.
+- best-effort records the payload in the results database's run
+  history when ``REPRO_RESULTS_DB`` is set — giving benchmark history
+  the same run ledger the studies get, queryable via
+  ``python -m repro.results runs``.
 
 :func:`bench_json_fixture` builds the module-scope pytest fixture the
 benchmark modules share: tests mutate the yielded dict, and the summary
@@ -24,7 +25,7 @@ import os
 
 import pytest
 
-from repro.obs.store import TelemetryStore, git_describe
+from repro.results.store import ResultsStore, git_describe
 
 #: Bump when the emitted payload layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -35,8 +36,8 @@ _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 def emit_bench(name, data):
     """Write ``BENCH_<name>.json``; returns the enriched payload.
 
-    The telemetry registration is strictly best-effort: a missing,
-    unwritable or corrupt ``REPRO_OBS_DB`` never fails a benchmark (the
+    The run record is strictly best-effort: a missing, unwritable or
+    corrupt ``REPRO_RESULTS_DB`` never fails a benchmark (the
     store itself degrades to a logged warning; a bad path raises
     ``ValueError`` from validation, also swallowed here).
     """
@@ -49,7 +50,7 @@ def emit_bench(name, data):
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     try:
-        store = TelemetryStore.from_env()
+        store = ResultsStore.from_env()
     except ValueError:
         store = None
     if store is not None:

@@ -9,9 +9,8 @@ from repro.dynamic.measurements import IabMeasurementHarness
 from repro.exec import ExecConfig, chain_results
 from repro.obs import Obs
 from repro.obs.progress import ProgressReporter, progress_enabled
-from repro.obs.store import TelemetryStore
 from repro.reporting import Table
-from repro.results.store import ResultsStore, prepare_study_row
+from repro.results.store import prepare_study_row, study_sinks
 from repro.static_analysis.pipeline import (
     PipelineOptions,
     StaticAnalysisPipeline,
@@ -57,12 +56,10 @@ class StaticStudy:
         self.exec_config = ExecConfig(max_workers=max_workers,
                                       chunk_size=chunk_size,
                                       backend=exec_backend)
-        #: Run-history sink; defaults to ``REPRO_OBS_DB`` when set.
-        self.telemetry = (telemetry if telemetry is not None
-                          else TelemetryStore.from_env())
-        #: Queryable results sink; defaults to ``REPRO_RESULTS_DB``.
-        self.results_store = (results_store if results_store is not None
-                              else ResultsStore.from_env())
+        #: Run-history and queryable results sinks; each defaults to the
+        #: ``REPRO_RESULTS_DB`` store.
+        self.telemetry, self.results_store = study_sinks(telemetry,
+                                                         results_store)
         self.progress_hook = _default_progress(progress_hook, "static")
         self.pipeline = StaticAnalysisPipeline(
             corpus, options=self.options, obs=self.obs,
@@ -191,11 +188,10 @@ class DynamicStudy:
                  progress_hook=None):
         self.seed = seed
         self.obs = obs if obs is not None else Obs()
-        self.telemetry = (telemetry if telemetry is not None
-                          else TelemetryStore.from_env())
-        #: Queryable results sink; defaults to ``REPRO_RESULTS_DB``.
-        self.results_store = (results_store if results_store is not None
-                              else ResultsStore.from_env())
+        #: Run-history and queryable results sinks; each defaults to the
+        #: ``REPRO_RESULTS_DB`` store.
+        self.telemetry, self.results_store = study_sinks(telemetry,
+                                                         results_store)
         self.progress_hook = _default_progress(progress_hook, "crawl")
         self.sites = top_sites(site_count)
         self.manual_study = ManualStudy(total_apps=total_apps, seed=seed)
@@ -293,7 +289,7 @@ class DynamicStudy:
         )
         corpus = fingerprint_token(("crawl", self.seed, len(self.sites)))
         # The token keeps its original name so the keys of existing
-        # results and telemetry DBs still match.
+        # ingests and runs still match.
         options = fingerprint_token(("script_cache", self.exec_config.cache))
         if self.telemetry is not None:
             self.telemetry.record_run(

@@ -98,8 +98,7 @@ class IncrementalRunner:
     def __init__(self, corpus, run_store=None, options=None, labeler=None,
                  obs=None, exec_config=None, checkpoint_every=25,
                  telemetry=None, results_store=None, progress_hook=None):
-        from repro.obs.store import TelemetryStore
-        from repro.results.store import ResultsStore
+        from repro.results.store import study_sinks
 
         self.corpus = corpus
         self.store = run_store if run_store is not None else RunStore()
@@ -109,17 +108,14 @@ class IncrementalRunner:
         self.exec_config = (exec_config if exec_config is not None
                             else ExecConfig())
         self.checkpoint_every = checkpoint_every
-        #: Run-history sink; defaults to ``REPRO_OBS_DB`` when set. Each
-        #: snapshot run is recorded and its manifest points back at the
-        #: telemetry run via ``telemetry_run``.
-        self.telemetry = (telemetry if telemetry is not None
-                          else TelemetryStore.from_env())
-        #: Queryable results sink; defaults to ``REPRO_RESULTS_DB``.
+        #: Run-history and queryable results sinks; each defaults to the
+        #: ``REPRO_RESULTS_DB`` store. Each snapshot run is recorded and
+        #: its manifest points back at the run via ``telemetry_run``.
         #: Snapshot ingests are keyed by (corpus, options, date), so a
         #: timeline's runs *append* snapshot rows — re-running a date is
         #: an idempotent no-op in the store.
-        self.results_store = (results_store if results_store is not None
-                              else ResultsStore.from_env())
+        self.telemetry, self.results_store = study_sinks(telemetry,
+                                                         results_store)
         self.progress_hook = progress_hook
         #: Store namespace: universe identity x options fingerprint.
         self.context = "%s-%s" % (
@@ -180,7 +176,7 @@ class IncrementalRunner:
         result = pipeline.run(max_apps=max_apps, progress=progress)
         handle.flush()
         # Telemetry is recorded *before* finalize so the completion
-        # manifest can carry the pointer into the run-history store.
+        # manifest can carry the pointer to its run record.
         telemetry_run = None
         if self.telemetry is not None:
             telemetry_run = self.telemetry.record_run(

@@ -17,8 +17,8 @@ Two analysis layers on top of persisted (or live) observability state:
   :class:`~repro.obs.metrics.TickClock` the output is byte-identical
   across worker counts and backends.
 
-``python -m repro.obs.store show`` profiles any recorded run and
-``python -m repro.obs.store flamegraph`` folds it.
+``python -m repro.results run`` profiles any recorded run and
+``python -m repro.results flamegraph`` folds it.
 """
 
 #: Flamegraph counts are durations scaled to integer micro-clock-units.

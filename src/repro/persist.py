@@ -1,12 +1,11 @@
 """One persistence core: how every store opens, upgrades, writes, reads.
 
-Four stores keep state between runs: the run history
-(:mod:`repro.obs.store`), the results database
-(:mod:`repro.results.store`), the longitudinal ``RunStore`` and the
-``ClassFactsCache`` disk layer. Each keeps only its own layout; the rules
-they share live here.
+Three stores keep state between runs: the results database
+(:mod:`repro.results.store`, which also holds the run history), the
+longitudinal ``RunStore`` and the ``ClassFactsCache`` disk layer. Each
+keeps only its own layout; the rules they share live here.
 
-SQLite stores subclass :class:`SqliteStore`. Connections use WAL and a
+A SQLite store subclasses :class:`SqliteStore`. Connections use WAL and a
 :data:`BUSY_TIMEOUT_S` busy timeout and live for one write or one read
 scope, so none crosses a fork or a thread. A new file gets the schema,
 an older version is upgraded in place (every change so far only added
@@ -48,18 +47,28 @@ _PICKLE_ERRORS = (OSError, pickle.UnpicklingError, EOFError, AttributeError,
 def env_path(var, file_name):
     """The validated database path in ``var``, or None when unset/blank.
 
-    The variable must name a *file* whose parent directory exists or is
-    creatable. Naming an existing directory is the most common
-    misconfiguration, and its message suggests ``<dir>/<file_name>``.
+    The path is checked as :func:`checked_path` checks it.
     """
     raw = os.environ.get(var)
     if raw is None or not raw.strip():
         return None
+    return checked_path(raw, var + "=", file_name)
+
+
+def checked_path(raw, source, file_name):
+    """``raw`` stripped, once it names a usable database file.
+
+    The path must name a *file* whose parent directory exists or is
+    creatable. Naming an existing directory is the most common
+    misconfiguration, and its message suggests ``<dir>/<file_name>``.
+    ``source`` prefixes the path in messages: ``"REPRO_RESULTS_DB="``
+    for a variable, ``"--db "`` for a CLI flag.
+    """
     path = raw.strip()
     if os.path.isdir(path):
         raise ValueError(
-            "%s=%r is a directory; it must name a database file, e.g. "
-            "%s=%s" % (var, raw, var, os.path.join(path, file_name))
+            "%s%r is a directory; it must name a database file, e.g. "
+            "%s%s" % (source, raw, source, os.path.join(path, file_name))
         )
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
@@ -67,8 +76,8 @@ def env_path(var, file_name):
             os.makedirs(parent, exist_ok=True)
         except OSError as exc:
             raise ValueError(
-                "%s=%r names a file in an uncreatable directory (%s)"
-                % (var, raw, exc)
+                "%s%r names a file in an uncreatable directory (%s)"
+                % (source, raw, exc)
             )
     return path
 
@@ -77,10 +86,10 @@ class SqliteStore:
     """An append-only SQLite store; subclasses add schema, writers, queries.
 
     A subclass sets the class attributes below. Each write appends one
-    row to ``HEAD_TABLE`` (``seq`` rowid, ``kind``, ``ID_COLUMN``).
+    row to a head table (``seq`` rowid, ``kind`` and an id column).
     """
 
-    #: What the store holds, for messages ("telemetry", "results").
+    #: What the store holds, for messages ("results").
     NOUN = ""
     #: Environment variable naming the database file.
     ENV_VAR = ""
@@ -89,8 +98,6 @@ class SqliteStore:
     #: ``CREATE ... IF NOT EXISTS`` script of the store's tables.
     SCHEMA = ""
     SCHEMA_VERSION = 1
-    HEAD_TABLE = ""
-    ID_COLUMN = ""
     #: The store's :class:`~repro.obs.logs.StructuredLogger`.
     log = None
 
@@ -115,8 +122,16 @@ class SqliteStore:
 
     @classmethod
     def from_cli(cls, db):
-        """The store a CLI's ``--db`` names, else ``ENV_VAR``'s; or exit."""
-        store = cls(db) if db else cls.from_env()
+        """The store a CLI's ``--db`` names, else ``ENV_VAR``'s; or exit.
+
+        ``--db`` is checked by the variable's rule. A bad path or a
+        newer schema exits with its message.
+        """
+        try:
+            store = (cls(checked_path(db, "--db ", cls.FILE_NAME)) if db
+                     else cls.from_env())
+        except ValueError as exc:
+            raise SystemExit(str(exc))
         if store is None:
             raise SystemExit("no %s database: set %s or pass --db"
                              % (cls.NOUN, cls.ENV_VAR))
@@ -178,17 +193,18 @@ class SqliteStore:
 
     # -- writes --------------------------------------------------------------
 
-    def _append(self, row, write, key=()):
+    def _append(self, table, id_column, row, write, key=()):
         """Append one head row and its children; returns its id or None.
 
-        ``row`` maps ``HEAD_TABLE`` columns to values, ``kind`` among
-        them; the new ``seq`` stamps the id ``<kind>-<seq>`` and
-        ``write(conn, seq)`` adds the child rows. A stored row equal to
-        ``row`` on the ``key`` columns makes the write a no-op returning
-        the stored id. ``BEGIN IMMEDIATE`` serializes that check and the
-        id allocation across writer processes.
+        ``row`` maps the head ``table``'s columns to values, ``kind``
+        among them; the new ``seq`` stamps the id ``<kind>-<seq>`` into
+        ``id_column`` and ``write(conn, seq)`` adds the child rows. A
+        stored row equal to ``row`` on the ``key`` columns makes the
+        write a no-op returning the stored id. ``BEGIN IMMEDIATE``
+        serializes that check and the id allocation across writer
+        processes.
         """
-        kind, table = row["kind"], self.HEAD_TABLE
+        kind = row["kind"]
         conn = None
         try:
             conn = self._connect()
@@ -197,7 +213,7 @@ class SqliteStore:
                 if key:
                     existing = conn.execute(
                         "SELECT %s FROM %s WHERE %s" % (
-                            self.ID_COLUMN, table,
+                            id_column, table,
                             " AND ".join("%s = ?" % column
                                          for column in key)),
                         [row[column] for column in key],
@@ -213,7 +229,7 @@ class SqliteStore:
                 ).lastrowid
                 row_id = "%s-%06d" % (kind, seq)
                 conn.execute("UPDATE %s SET %s = ? WHERE seq = ?"
-                             % (table, self.ID_COLUMN), (row_id, seq))
+                             % (table, id_column), (row_id, seq))
                 write(conn, seq)
         except sqlite3.Error as exc:
             self.log.warning("write_failed", kind=kind, error=str(exc))

@@ -24,7 +24,9 @@ parameterized queries. Design points:
   service instance can be shared across reader threads — the serving
   benchmark drives it with N threads.
 
-The module doubles as the ``python -m repro.results`` CLI.
+The module doubles as the ``python -m repro.results`` CLI, which also
+lists the database's run history (``runs``), profiles one run (``run``)
+and folds one into a flamegraph (``flamegraph``).
 """
 
 import argparse
@@ -33,6 +35,7 @@ import json
 import sys
 import threading
 
+from repro.obs import perf
 from repro.results.store import RESULTS_DB_ENV_VAR, ResultsStore
 
 #: Default bound on memoized query answers.
@@ -637,10 +640,71 @@ def _cmd_funnel(service, args):
     return 0
 
 
+def _cmd_runs(service, args):
+    runs = service.store.list_runs(kind=args.kind)
+    if not runs:
+        print("no runs recorded")
+        return 0
+    for run in runs:
+        print("%-18s %-12s items=%-7d elapsed=%-10.3f %s %s" % (
+            run["run_id"], run["kind"], run["items"], run["elapsed"],
+            run["git"] or "-", run["label"],
+        ))
+    return 0
+
+
+def _cmd_run(service, args):
+    store = service.store
+    meta = store.get_run(args.run_id)
+    if meta is None:
+        print("unknown run %r" % args.run_id, file=sys.stderr)
+        return 1
+    print(json.dumps(meta, indent=2, sort_keys=True))
+    roots = store.load_spans(args.run_id)
+    if roots:
+        prof = perf.profile(roots)
+        print("\ncritical path: %.3f clock s" % prof.critical_length)
+        for stage in prof.ordered():
+            print("  %-24s self=%-8.3f calls=%-5d cp-share=%.1f%%" % (
+                stage.name, stage.self_time, stage.calls,
+                100.0 * prof.path_share(stage.name),
+            ))
+    payloads = store.load_bench(args.run_id)
+    for name in sorted(payloads):
+        print("\nbench payload %s:" % name)
+        print(json.dumps(payloads[name], indent=2, sort_keys=True))
+    return 0
+
+
+def _cmd_flamegraph(service, args):
+    store = service.store
+    run_id = args.run_id
+    if run_id is None:
+        runs = store.last_runs(args.kind, limit=1)
+        if not runs:
+            print("no runs of kind %r recorded" % args.kind if args.kind
+                  else "no runs recorded", file=sys.stderr)
+            return 1
+        run_id = runs[0]
+    roots = store.load_spans(run_id)
+    if not roots:
+        print("run %r has no recorded spans" % run_id, file=sys.stderr)
+        return 1
+    folded = perf.flamegraph(roots)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(folded)
+        print("wrote %s (%d stacks)" % (args.out, len(folded.splitlines())))
+    else:
+        sys.stdout.write(folded)
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.results",
-        description="Query the persistent results store.",
+        description="Query the persistent results store and its run "
+                    "history.",
     )
     parser.add_argument("--db", help="database file (default: $%s)"
                         % RESULTS_DB_ENV_VAR)
@@ -695,6 +759,20 @@ def main(argv=None):
     cmd = commands.add_parser("funnel", help="Table 2 funnel of an ingest")
     cmd.add_argument("--snapshot", default=None)
 
+    cmd = commands.add_parser("runs", help="list recorded runs")
+    cmd.add_argument("--kind", help="only runs of this kind")
+
+    cmd = commands.add_parser("run", help="dump one run's profile")
+    cmd.add_argument("run_id")
+
+    cmd = commands.add_parser(
+        "flamegraph", help="emit collapsed-stack text for one run"
+    )
+    cmd.add_argument("run_id", nargs="?", default=None,
+                     help="run to fold (default: newest run)")
+    cmd.add_argument("--kind", help="with no run_id: newest of this kind")
+    cmd.add_argument("--out", help="write to a file instead of stdout")
+
     args = parser.parse_args(argv)
     service = ResultsService(ResultsStore.from_cli(args.db))
     handler = {
@@ -708,6 +786,9 @@ def main(argv=None):
         "capability": _cmd_capability,
         "validate": _cmd_validate,
         "funnel": _cmd_funnel,
+        "runs": _cmd_runs,
+        "run": _cmd_run,
+        "flamegraph": _cmd_flamegraph,
     }[args.command]
     return handler(service, args)
 

@@ -1,9 +1,9 @@
-"""Schema'd SQLite results store for finished study outputs.
+"""Schema'd SQLite results store: study findings and run history.
 
 Every finished study — static, longitudinal snapshot, dynamic crawl,
-Web-API measurement — can persist its *results* (not just telemetry)
-into one SQLite database named by ``REPRO_RESULTS_DB``. The schema holds
-the entities the paper's questions are asked over:
+Web-API measurement — can persist its *results* into one SQLite
+database named by ``REPRO_RESULTS_DB``. The schema holds the entities
+the paper's questions are asked over:
 
 - ``snapshots`` — one row per ingest, keyed ``(kind, corpus
   fingerprint, options token, snapshot date)``. Longitudinal deltas
@@ -23,24 +23,37 @@ the entities the paper's questions are asked over:
 - ``bridge_findings`` — per-(app, SDK, bridge, attacker) severity rows
   from the injection-impact census (:mod:`repro.impact`).
 
+The same file holds the run history: how each run *behaved*. ``runs``
+has one row per recorded study run or benchmark, keyed ``(kind, corpus,
+options, git)`` and ordered by ``seq``; ``traces``, ``registries`` and
+``bench_payloads`` hold its span forest, metrics registry snapshot and
+benchmark payloads, which :mod:`repro.obs.perf` profiles and folds into
+flamegraphs. A study records its run only through its ``telemetry=``
+store, never because it was handed a ``results_store=``.
+
 How the file opens, upgrades, is written and is read is
-:mod:`repro.persist`'s, shared with the telemetry store: WAL with a busy
-timeout, one ``BEGIN IMMEDIATE`` transaction per ingest, an older file
+:mod:`repro.persist`'s: WAL with a busy timeout, one ``BEGIN
+IMMEDIATE`` transaction per ingest or run record, an older file
 upgraded in place and a newer one refused, a corrupt file reading as
 absent and a failed write degrading to a logged warning, so the store
 never fails the study it is recording. Reads run inside a read scope
 (:meth:`~repro.persist.SqliteStore.reading`): one connection and one
 read snapshot for every read in it. This module holds only the schema,
-the ingest writers and the store-side queries.
+the writers and the store-side queries.
 
-The read side lives in :mod:`repro.results.serve`.
+The read side lives in :mod:`repro.results.serve`, which is also the
+``python -m repro.results`` CLI.
 """
 
+import functools
 import json
+import os
+import subprocess
 
 from repro.errors import NetworkError
 from repro.obs.logs import get_logger
-from repro.obs.store import git_describe
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Span
 from repro.persist import SqliteStore, env_path
 from repro.web.classify import classify_endpoint
 from repro.web.urls import parse_url_cached
@@ -48,13 +61,19 @@ from repro.web.urls import parse_url_cached
 #: Environment variable naming the results database file.
 RESULTS_DB_ENV_VAR = "REPRO_RESULTS_DB"
 
+#: The ``repro`` package directory, whose files decide a ``-dirty`` stamp.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 #: Bumped on any schema change. Older files are upgraded in place
-#: (:mod:`repro.persist`): both changes so far only added tables and
+#: (:mod:`repro.persist`): every change so far only added tables and
 #: indexes, so re-running ``_SCHEMA`` is the whole migration.
 #: v2: added the ``bridge_findings`` table (injection-impact census).
 #: v3: added the ``static_endpoints`` table (static endpoint census and
 #: its dynamic cross-validation rows).
-SCHEMA_VERSION = 3
+#: v4: added the run history (``runs``, ``traces``, ``registries``,
+#: ``bench_payloads``), the tables a schema-1 telemetry file holds, so
+#: such a file upgrades in place too and keeps its runs.
+SCHEMA_VERSION = 4
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS snapshots (
@@ -177,6 +196,35 @@ CREATE INDEX IF NOT EXISTS bridge_findings_by_sdk
     ON bridge_findings (ingest_seq, sdk, severity_rank);
 CREATE INDEX IF NOT EXISTS static_endpoints_by_sdk
     ON static_endpoints (ingest_seq, source, sdk);
+CREATE TABLE IF NOT EXISTS runs (
+    seq INTEGER PRIMARY KEY AUTOINCREMENT,
+    run_id TEXT UNIQUE,
+    kind TEXT NOT NULL,
+    label TEXT NOT NULL DEFAULT '',
+    corpus TEXT NOT NULL DEFAULT '',
+    options TEXT NOT NULL DEFAULT '',
+    git TEXT NOT NULL DEFAULT '',
+    items INTEGER NOT NULL DEFAULT 0,
+    elapsed REAL NOT NULL DEFAULT 0.0
+);
+CREATE TABLE IF NOT EXISTS traces (
+    run_seq INTEGER NOT NULL,
+    position INTEGER NOT NULL,
+    tree TEXT NOT NULL,
+    PRIMARY KEY (run_seq, position)
+);
+CREATE TABLE IF NOT EXISTS registries (
+    run_seq INTEGER PRIMARY KEY,
+    snapshot TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS bench_payloads (
+    run_seq INTEGER NOT NULL,
+    name TEXT NOT NULL,
+    payload TEXT NOT NULL,
+    PRIMARY KEY (run_seq, name)
+);
+CREATE INDEX IF NOT EXISTS runs_by_key
+    ON runs (kind, corpus, options, seq);
 """
 
 
@@ -185,20 +233,80 @@ def env_db_path():
     return env_path(RESULTS_DB_ENV_VAR, ResultsStore.FILE_NAME)
 
 
+def study_sinks(telemetry, results_store):
+    """A study's ``(telemetry, results_store)``, defaults filled in.
+
+    Each left at None defaults to the ``REPRO_RESULTS_DB`` store, looked
+    up once, so the one variable turns on both. Runs are recorded only
+    through ``telemetry``, so passing a ``results_store`` never turns
+    run records on.
+    """
+    if telemetry is None or results_store is None:
+        default = ResultsStore.from_env()
+        telemetry = default if telemetry is None else telemetry
+        results_store = default if results_store is None else results_store
+    return telemetry, results_store
+
+
+def git_describe(cwd=None):
+    """``git describe --always`` of the code's checkout, or ''.
+
+    ``cwd`` defaults to the ``repro`` package directory. The stamp gets
+    ``-dirty`` only when files under ``cwd`` differ from HEAD, untracked
+    ones included, so edits elsewhere in the checkout (docs, benchmark
+    payloads) do not mark the code that produced a run as modified. The
+    default stamp names the code this process imported, so it is
+    computed once per process.
+    """
+    if cwd is None:
+        return _package_stamp()
+    try:
+        described = subprocess.run(
+            ["git", "describe", "--always"],
+            cwd=cwd, capture_output=True, timeout=10,
+        )
+        if described.returncode != 0:
+            return ""
+        status = subprocess.run(
+            ["git", "--no-optional-locks", "status", "--porcelain", "--",
+             "."],
+            cwd=cwd, capture_output=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return ""
+    stamp = described.stdout.decode("utf-8", "replace").strip()
+    dirty = status.returncode == 0 and status.stdout.strip()
+    return stamp + "-dirty" if dirty else stamp
+
+
+@functools.lru_cache(maxsize=None)
+def _package_stamp():
+    return git_describe(_PACKAGE_DIR)
+
+
 #: Columns that identify an ingest: re-ingesting a stored key is a no-op.
 _INGEST_KEY = ("kind", "corpus", "options", "snapshot")
 
+#: The columns an ingest's and a run's metadata dicts carry.
+_INGEST_COLUMNS = ("seq", "ingest_id", "kind", "corpus", "options",
+                   "snapshot", "git", "items")
+_RUN_COLUMNS = ("run_id", "kind", "label", "corpus", "options", "git",
+                "items", "elapsed")
+
+
+def _where_kind(kind):
+    """The SQL filter and parameters for one kind, or for every kind."""
+    return ("", ()) if kind is None else (" WHERE kind = ?", (kind,))
+
 
 class ResultsStore(SqliteStore):
-    """Append-only SQLite sink + source for finished study results."""
+    """Append-only SQLite sink + source for study results and run history."""
 
     NOUN = "results"
     ENV_VAR = RESULTS_DB_ENV_VAR
     FILE_NAME = "results.db"
     SCHEMA = _SCHEMA
     SCHEMA_VERSION = SCHEMA_VERSION
-    HEAD_TABLE = "snapshots"
-    ID_COLUMN = "ingest_id"
     log = get_logger("results.store")
 
     # -- generation counter --------------------------------------------------
@@ -208,8 +316,9 @@ class ResultsStore(SqliteStore):
 
         Every completed ingest bumps it (it is ``MAX(seq)`` over the
         snapshots table), so any cache entry keyed on the generation is
-        implicitly invalidated the moment new results land. A corrupt or
-        empty database reads as generation 0.
+        implicitly invalidated the moment new results land. Run records
+        do not bump it. A corrupt or empty database reads as
+        generation 0.
         """
         rows = self._query("SELECT MAX(seq) FROM snapshots")
         if not rows or rows[0][0] is None:
@@ -284,29 +393,75 @@ class ResultsStore(SqliteStore):
         if git is None:
             git = git_describe()
         return self._append(
+            "snapshots", "ingest_id",
             {"kind": kind, "corpus": corpus, "options": options,
              "snapshot": snapshot, "git": git, "items": writer.items(),
              "funnel": json.dumps(writer.funnel(), sort_keys=True)},
             writer.write, key=_INGEST_KEY,
         )
 
+    # -- run history ---------------------------------------------------------
+
+    def record_run(self, obs, kind, label="", corpus="", options="",
+                   git=None, items=0, root_span="run"):
+        """Persist one finished run's bundle; returns run_id or None.
+
+        Failure to write is logged and swallowed — the store observes
+        runs, it must never fail one.
+        """
+        if git is None:
+            git = git_describe()
+        trees = [json.dumps(root.to_dict(), sort_keys=True)
+                 for root in obs.tracer.roots]
+        snapshot = json.dumps(obs.registry.as_dict(), sort_keys=True)
+        elapsed = sum(
+            span.duration for span in obs.tracer.iter_spans()
+            if span.name == root_span
+        )
+
+        def write(conn, seq):
+            conn.executemany(
+                "INSERT INTO traces (run_seq, position, tree)"
+                " VALUES (?, ?, ?)",
+                [(seq, position, tree) for position, tree
+                 in enumerate(trees)],
+            )
+            conn.execute(
+                "INSERT INTO registries (run_seq, snapshot) VALUES (?, ?)",
+                (seq, snapshot),
+            )
+
+        return self._append(
+            "runs", "run_id",
+            {"kind": kind, "label": label, "corpus": corpus,
+             "options": options, "git": git, "items": items,
+             "elapsed": elapsed}, write,
+        )
+
+    def record_bench(self, name, payload, git=None):
+        """Persist one benchmark's JSON payload; returns run_id or None."""
+        if git is None:
+            git = git_describe()
+        text = json.dumps(payload, sort_keys=True)
+
+        def write(conn, seq):
+            conn.execute(
+                "INSERT INTO bench_payloads (run_seq, name, payload)"
+                " VALUES (?, ?, ?)", (seq, name, text),
+            )
+
+        return self._append("runs", "run_id",
+                            {"kind": "bench", "label": name, "git": git},
+                            write)
+
     # -- reads (corrupt database => empty results) ---------------------------
 
     def list_ingests(self, kind=None):
         """Ingest metadata dicts, oldest first; optionally one kind."""
-        sql = ("SELECT seq, ingest_id, kind, corpus, options, snapshot,"
-               " git, items FROM snapshots")
-        params = ()
-        if kind is not None:
-            sql += " WHERE kind = ?"
-            params = (kind,)
-        sql += " ORDER BY seq"
-        return [
-            {"seq": row[0], "ingest_id": row[1], "kind": row[2],
-             "corpus": row[3], "options": row[4], "snapshot": row[5],
-             "git": row[6], "items": row[7]}
-            for row in self._query(sql, params)
-        ]
+        where, params = _where_kind(kind)
+        return [dict(zip(_INGEST_COLUMNS, row)) for row in self._query(
+            "SELECT %s FROM snapshots%s ORDER BY seq"
+            % (", ".join(_INGEST_COLUMNS), where), params)]
 
     def latest_seq(self, kind, corpus=None, options=None, snapshot=None):
         """Newest matching ingest's seq, or None."""
@@ -332,6 +487,70 @@ class ResultsStore(SqliteStore):
             return json.loads(rows[0][0])
         except ValueError:
             return {}
+
+    def list_runs(self, kind=None):
+        """Run metadata dicts, oldest first; optionally one kind only."""
+        where, params = _where_kind(kind)
+        return [dict(zip(_RUN_COLUMNS, row)) for row in self._query(
+            "SELECT %s FROM runs%s ORDER BY seq"
+            % (", ".join(_RUN_COLUMNS), where), params)]
+
+    def get_run(self, run_id):
+        """One run's metadata dict, or None."""
+        rows = self._query(
+            "SELECT %s FROM runs WHERE run_id = ?" % ", ".join(_RUN_COLUMNS),
+            (run_id,),
+        )
+        return dict(zip(_RUN_COLUMNS, rows[0])) if rows else None
+
+    def last_runs(self, kind=None, limit=10):
+        """run_ids of the newest runs, newest first; optionally one kind."""
+        where, params = _where_kind(kind)
+        return [row[0] for row in self._query(
+            "SELECT run_id FROM runs%s ORDER BY seq DESC LIMIT ?" % where,
+            params + (int(limit),))]
+
+    def load_spans(self, run_id):
+        """The run's span forest, rebuilt as live :class:`Span` trees."""
+        rows = self._query(
+            "SELECT tree FROM traces WHERE run_seq ="
+            " (SELECT seq FROM runs WHERE run_id = ?) ORDER BY position",
+            (run_id,),
+        )
+        roots = []
+        for (tree,) in rows:
+            try:
+                roots.append(Span.from_dict(json.loads(tree)))
+            except (ValueError, KeyError, TypeError):
+                continue
+        return roots
+
+    def load_registry(self, run_id):
+        """The run's metrics registry snapshot, or None."""
+        rows = self._query(
+            "SELECT snapshot FROM registries WHERE run_seq ="
+            " (SELECT seq FROM runs WHERE run_id = ?)", (run_id,),
+        )
+        if not rows:
+            return None
+        try:
+            return MetricsRegistry.from_dict(json.loads(rows[0][0]))
+        except (ValueError, KeyError, TypeError):
+            return None
+
+    def load_bench(self, run_id):
+        """``{name: payload}`` for a bench run's recorded payloads."""
+        rows = self._query(
+            "SELECT name, payload FROM bench_payloads WHERE run_seq ="
+            " (SELECT seq FROM runs WHERE run_id = ?)", (run_id,),
+        )
+        out = {}
+        for name, payload in rows:
+            try:
+                out[name] = json.loads(payload)
+            except ValueError:
+                continue
+        return out
 
 
 # -- ingest writers -----------------------------------------------------------

@@ -203,6 +203,10 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        # Where a jump is legal: inside a function (``return``) and
+        # inside a loop of the current function (``break``/``continue``).
+        self.in_function = False
+        self.loop_depth = 0
 
     @property
     def cur(self):
@@ -254,6 +258,8 @@ class _Parser:
         if self.at("function"):
             return self.parse_function_decl()
         if self.at("return"):
+            if not self.in_function:
+                self.error("return outside a function")
             self.advance()
             expr = None
             if not self.at(";") and not self.at("}") and self.cur.kind != "eof":
@@ -269,16 +275,13 @@ class _Parser:
             self.expect("(")
             condition = self.parse_expression()
             self.expect(")")
-            body = self.parse_statement()
-            return ("while", condition, body)
-        if self.at("break"):
-            self.advance()
+            return ("while", condition, self.parse_loop_body())
+        if self.at("break") or self.at("continue"):
+            if not self.loop_depth:
+                self.error("%s outside a loop" % self.cur.value)
+            jump = self.advance().value
             self.accept(";")
-            return ("break",)
-        if self.at("continue"):
-            self.advance()
-            self.accept(";")
-            return ("continue",)
+            return (jump,)
         if self.at("throw"):
             self.advance()
             expr = self.parse_expression()
@@ -324,8 +327,24 @@ class _Parser:
             self.error("expected function name")
         name = self.advance().value
         params = self.parse_params()
-        body = self.parse_block()
-        return ("funcdecl", name, params, body)
+        return ("funcdecl", name, params, self.parse_function_body())
+
+    def parse_function_body(self):
+        """A function's block, where ``return`` is legal and no loop
+        of the enclosing code is open."""
+        saved = self.in_function, self.loop_depth
+        self.in_function, self.loop_depth = True, 0
+        try:
+            return self.parse_block()
+        finally:
+            self.in_function, self.loop_depth = saved
+
+    def parse_loop_body(self):
+        self.loop_depth += 1
+        try:
+            return self.parse_statement()
+        finally:
+            self.loop_depth -= 1
 
     def parse_params(self):
         self.expect("(")
@@ -363,8 +382,8 @@ class _Parser:
                     self.advance()
                     target = self.parse_expression()
                     self.expect(")")
-                    body = self.parse_statement()
-                    return ("forin", init[1][0][0], target, body)
+                    return ("forin", init[1][0][0], target,
+                            self.parse_loop_body())
             else:
                 init = ("expr", self.parse_expression())
         self.expect(";")
@@ -376,8 +395,7 @@ class _Parser:
         if not self.at(")"):
             update = self.parse_expression()
         self.expect(")")
-        body = self.parse_statement()
-        return ("for", init, condition, update, body)
+        return ("for", init, condition, update, self.parse_loop_body())
 
     def parse_try(self):
         self.expect("try")
@@ -534,8 +552,7 @@ class _Parser:
             if self.cur.kind == "id":
                 name = self.advance().value
             params = self.parse_params()
-            body = self.parse_block()
-            return ("funcexpr", name, params, body)
+            return ("funcexpr", name, params, self.parse_function_body())
         if self.at("("):
             self.advance()
             expr = self.parse_expression()

@@ -277,6 +277,30 @@ class TestStatements:
         with pytest.raises(JsSyntaxError):
             run_script("var = 1;")
 
+    @pytest.mark.parametrize("source", [
+        "return 1;",
+        "break;",
+        "continue;",
+        "while (true) { (function () { break; })(); }",
+        "function f() { if (true) { continue; } }",
+    ])
+    def test_misplaced_jump_is_a_syntax_error(self, source):
+        with pytest.raises(JsSyntaxError):
+            run_script(source)
+
+    def test_break_inside_a_function_inside_a_loop(self):
+        source = """
+        var hits = 0;
+        for (var i = 0; i < 3; i++) {
+          (function () {
+            while (true) { hits++; break; }
+            for (var k in {a: 1, b: 2}) { continue; }
+          })();
+        }
+        __result = hits;
+        """
+        assert result_of(source) == 3.0
+
     def test_execution_budget(self):
         with pytest.raises(JsRuntimeError):
             run_script("while (true) { var x = 1; }")

@@ -1,16 +1,19 @@
 """Tests for the persistence core (repro.persist).
 
 Failure modes are tested once, against the core. Each SQLite case runs
-against both stores built on :class:`~repro.persist.SqliteStore` (the
-telemetry store and the results store); the whole-file cases run against
+against both writers of the one store built on
+:class:`~repro.persist.SqliteStore`, the results store: its run records
+and its ingests. The whole-file cases run against
 :func:`~repro.persist.atomic_write` and :func:`~repro.persist.load_pickle`,
 which the longitudinal RunStore and the class-facts disk cache share.
 The contracts: a locked, truncated, garbage or unopenable database reads
 as absent and its writes degrade to a logged warning; a writer killed
 mid-transaction leaves no partial row; every connection is closed; an
-older results file is upgraded in place; a corrupt pickle reads as None.
+older results file, and a telemetry file of the retired run-history
+store, are upgraded in place; a corrupt pickle reads as None.
 """
 
+import json
 import logging
 import os
 import pickle
@@ -28,12 +31,12 @@ from repro.endpoints import AppEndpoints, EndpointRecord, EndpointResult
 from repro.exec.cache import ClassFactsCache
 from repro.impact import AppImpact, BridgeFinding, ImpactResult
 from repro.obs import Obs
-from repro.obs.store import OBS_DB_ENV_VAR, TelemetryStore
-from repro.results.serve import ResultsService
+from repro.results.serve import ResultsService, main as results_main
 from repro.results.store import RESULTS_DB_ENV_VAR, ResultsStore
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.abspath(os.path.join(TESTS_DIR, os.pardir, "src"))
+GOLDEN_DIR = os.path.join(TESTS_DIR, "golden", "upgrade")
 
 GARBAGE = b"this is not a sqlite file" * 40
 
@@ -42,7 +45,7 @@ class TelemetryCase:
     """Writes and lists runs the way a study records them."""
 
     name = "telemetry"
-    store = TelemetryStore
+    store = ResultsStore
     child_table = "traces"
 
     @staticmethod
@@ -239,18 +242,21 @@ class TestSqliteFailureModes:
         assert [conn for conn in opened if not conn.was_closed] == []
 
 
-@pytest.mark.parametrize("var", [OBS_DB_ENV_VAR, RESULTS_DB_ENV_VAR])
-def test_garbage_database_never_fails_a_study(var, tmp_path, monkeypatch):
-    monkeypatch.delenv(OBS_DB_ENV_VAR, raising=False)
+def test_garbage_database_never_fails_a_study(tmp_path, monkeypatch,
+                                              warnings_logged):
     monkeypatch.delenv(RESULTS_DB_ENV_VAR, raising=False)
     plain = StaticStudy(universe_size=500)
     plain.run()
-    monkeypatch.setenv(var, spoil_with_garbage(tmp_path))
+    monkeypatch.setenv(RESULTS_DB_ENV_VAR, spoil_with_garbage(tmp_path))
     study = StaticStudy(universe_size=500)
+    assert study.telemetry is study.results_store
     study.run()
     assert study.result.analyzed == plain.result.analyzed > 0
     assert ([analysis.package for analysis in study.result.analyses]
             == [analysis.package for analysis in plain.result.analyses])
+    # The garbage file received the run record and the ingest.
+    assert warnings_logged() == ["open_failed", "write_failed",
+                                 "write_failed"]
 
 
 def schema_version(path):
@@ -266,6 +272,63 @@ def static_answers(service):
             service.adoption_trend(), service.funnel())
 
 
+def table_rows(path):
+    """``{table: rows}`` for every table in the file but the version."""
+    conn = sqlite3.connect(path)
+    try:
+        tables = [name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+            " AND name != 'schema_info' ORDER BY name")]
+        return {table: conn.execute('SELECT * FROM "%s"' % table).fetchall()
+                for table in tables}
+    finally:
+        conn.close()
+
+
+def load_golden_file(tmp_path, name):
+    """A database rebuilt from ``<name>.sql``, and ``<name>.json``.
+
+    The SQL is the ``iterdump()`` of a file that the code at ``1bcf598``
+    wrote, the last commit with a separate run-history store; the JSON
+    holds what that code's CLI printed for each command over the file.
+    """
+    path = str(tmp_path / (name + ".db"))
+    with open(os.path.join(GOLDEN_DIR, name + ".sql")) as handle:
+        script = handle.read()
+    conn = sqlite3.connect(path)
+    try:
+        conn.executescript(script)
+    finally:
+        conn.close()
+    with open(os.path.join(GOLDEN_DIR, name + ".json")) as handle:
+        return path, json.load(handle)
+
+
+#: The run-history commands the retired telemetry CLI named otherwise;
+#: ``flamegraph`` kept its name.
+RENAMED_COMMANDS = {"list": "runs", "show": "run"}
+
+
+def assert_prints_as_recorded(path, recorded, capsys):
+    for command, expected in sorted(recorded.items()):
+        argv = command.split()
+        argv[0] = RENAMED_COMMANDS.get(argv[0], argv[0])
+        code = results_main(["--db", path] + argv)
+        out, err = capsys.readouterr()
+        assert {"code": code, "out": out, "err": err} == expected, command
+
+
+def assert_takes_run_and_ingest(store, run_id, ingest_id):
+    obs = Obs()
+    with obs.span("run"):
+        pass
+    assert store.record_run(obs, "static", git="g") == run_id
+    measurement = types.SimpleNamespace(
+        webapi_pairs=[("Navigator", "userAgent")])
+    assert store.ingest_webapi({"app": measurement}, snapshot="upgraded",
+                               git="g") == ingest_id
+
+
 class TestResultsUpgrade:
     def test_v1_file_is_upgraded_in_place(self, tmp_path):
         path = str(tmp_path / "results.db")
@@ -273,18 +336,21 @@ class TestResultsUpgrade:
                     results_store=ResultsStore(path)).run()
         before = static_answers(ResultsService(ResultsStore(path)))
         assert before[0] and before[2]
-        # v2 and v3 only added these two tables and their indexes.
+        # v2 to v4 only added these tables and their indexes.
         conn = sqlite3.connect(path)
         with conn:
             for name in ("bridge_findings", "static_endpoints"):
                 conn.execute("DROP INDEX %s_by_sdk" % name)
+                conn.execute("DROP TABLE %s" % name)
+            conn.execute("DROP INDEX runs_by_key")
+            for name in ("runs", "traces", "registries", "bench_payloads"):
                 conn.execute("DROP TABLE %s" % name)
             conn.execute("UPDATE schema_info SET version = 1")
         conn.close()
         assert schema_version(path) == [(1,)]
 
         store = ResultsStore(path)
-        assert schema_version(path) == [(3,)]
+        assert schema_version(path) == [(4,)]
         service = ResultsService(store)
         assert static_answers(service) == before
 
@@ -315,6 +381,27 @@ class TestResultsUpgrade:
                 in service.static_endpoints()] \
             == [("kik.android", "http://ads.example.com/v1")]
         assert static_answers(service) == before
+
+    @pytest.mark.parametrize("name, version, run_id, ingest_id", [
+        ("results-v3", 3, "static-000001", "webapi-000003"),
+        ("telemetry-v1", 1, "static-000004", "webapi-000001"),
+    ])
+    def test_file_an_older_build_wrote_is_upgraded_in_place(
+            self, tmp_path, capsys, name, version, run_id, ingest_id):
+        path, recorded = load_golden_file(tmp_path, name)
+        assert schema_version(path) == [(version,)]
+        before = table_rows(path)
+
+        store = ResultsStore(path)
+        assert schema_version(path) == [(4,)]
+        after = table_rows(path)
+        assert {table: after[table] for table in before} == before
+        assert set(after) > set(before)
+        assert_prints_as_recorded(path, recorded, capsys)
+
+        generation = store.generation()
+        assert_takes_run_and_ingest(store, run_id, ingest_id)
+        assert store.generation() == generation + 1
 
 
 PAYLOAD = {"apps": ["com.a", "com.b"], "analyzed": 2}

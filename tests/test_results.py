@@ -4,7 +4,7 @@ The load-bearing property is *byte-equality*: every answer the
 :class:`~repro.results.serve.ResultsService` serves from SQLite must
 equal what the in-memory aggregation (Aggregator, TrendSeries,
 nutrition labels, ``CrawlResult.endpoint_summary``) computes from the
-live study objects. The store itself follows the TelemetryStore
+live study objects. The store itself follows the :mod:`repro.persist`
 conventions: WAL, idempotent delta-appends, two concurrent writer
 processes interleave safely, corrupt databases read as absent. Each
 served query runs on one connection and one read snapshot.
@@ -483,8 +483,9 @@ class TestCorruption:
         with conn:
             conn.execute("UPDATE schema_info SET version = 99")
         conn.close()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             ResultsStore(db)
+        assert "schema version" in str(err.value)
 
 
 class TestLongitudinalIngest:
@@ -552,3 +553,13 @@ class TestCli:
         monkeypatch.delenv(RESULTS_DB_ENV_VAR, raising=False)
         with pytest.raises(SystemExit):
             results_main(["snapshots"])
+
+    @pytest.mark.parametrize("command", ["snapshots", "runs"])
+    def test_db_naming_a_directory_exits(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exit_:
+            results_main(["--db", str(tmp_path), command])
+        message = exit_.value.code
+        assert isinstance(message, str)  # exit status 1
+        assert "is a directory" in message
+        assert "--db %s" % os.path.join(str(tmp_path), "results.db") \
+            in message

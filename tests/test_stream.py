@@ -315,9 +315,8 @@ class TestPreparedIngestRows:
         prepared = str(tmp_path / "prepared.db")
         study = StaticStudy(universe_size=2_500, seed=77, obs=Obs(),
                             max_workers=2, chunk_size=4,
-                            exec_backend="inline", telemetry=None,
+                            exec_backend="inline",
                             results_store=ResultsStore(prepared))
-        study.telemetry = None
         result = study.run(max_apps=20)
         # ...match the rows an ingest after the run labels itself.
         unprepared = str(tmp_path / "unprepared.db")
