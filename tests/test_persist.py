@@ -40,6 +40,10 @@ GOLDEN_DIR = os.path.join(TESTS_DIR, "golden", "upgrade")
 
 GARBAGE = b"this is not a sqlite file" * 40
 
+# The run-history store's variable before runs moved into the results
+# store; a study ignores it.
+RETIRED_OBS_DB_VAR = "REPRO_OBS_DB"
+
 
 class TelemetryCase:
     """Writes and lists runs the way a study records them."""
@@ -242,21 +246,31 @@ class TestSqliteFailureModes:
         assert [conn for conn in opened if not conn.was_closed] == []
 
 
-def test_garbage_database_never_fails_a_study(tmp_path, monkeypatch,
+@pytest.mark.parametrize("var", [RETIRED_OBS_DB_VAR, RESULTS_DB_ENV_VAR])
+def test_garbage_database_never_fails_a_study(var, tmp_path, monkeypatch,
                                               warnings_logged):
+    monkeypatch.delenv(RETIRED_OBS_DB_VAR, raising=False)
     monkeypatch.delenv(RESULTS_DB_ENV_VAR, raising=False)
     plain = StaticStudy(universe_size=500)
     plain.run()
-    monkeypatch.setenv(RESULTS_DB_ENV_VAR, spoil_with_garbage(tmp_path))
+    path = spoil_with_garbage(tmp_path)
+    monkeypatch.setenv(var, path)
     study = StaticStudy(universe_size=500)
     assert study.telemetry is study.results_store
+    assert (study.results_store is not None) == (var == RESULTS_DB_ENV_VAR)
     study.run()
     assert study.result.analyzed == plain.result.analyzed > 0
     assert ([analysis.package for analysis in study.result.analyses]
             == [analysis.package for analysis in plain.result.analyses])
-    # The garbage file received the run record and the ingest.
-    assert warnings_logged() == ["open_failed", "write_failed",
-                                 "write_failed"]
+    if var == RESULTS_DB_ENV_VAR:
+        # The garbage file received the run record and the ingest.
+        assert warnings_logged() == ["open_failed", "write_failed",
+                                     "write_failed"]
+    else:
+        # A stale setting of the retired variable is ignored.
+        assert warnings_logged() == []
+    with open(path, "rb") as handle:
+        assert handle.read() == GARBAGE
 
 
 def schema_version(path):
