@@ -82,22 +82,6 @@ CT_LAUNCH_DESCRIPTOR = "(android.content.Context,android.net.Uri)void"
 X_REQUESTED_WITH_HEADER = "X-Requested-With"
 
 
-def is_webview_method_call(method_ref):
-    """True if a MethodRef targets a tracked WebView API method."""
-    return (
-        method_ref.class_name == WEBVIEW_CLASS
-        and method_ref.method_name in WEBVIEW_TRACKED_METHODS
-    )
-
-
-def is_webview_content_call(method_ref):
-    """True if a MethodRef populates content into a WebView (3.1.4)."""
-    return (
-        method_ref.class_name == WEBVIEW_CLASS
-        and method_ref.method_name in WEBVIEW_CONTENT_METHODS
-    )
-
-
 def is_customtabs_init(method_ref):
     """True if a MethodRef initializes or launches a Custom Tab."""
     if method_ref.class_name == CUSTOMTABS_INTENT_CLASS:

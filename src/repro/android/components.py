@@ -128,10 +128,6 @@ class Component:
             f.is_browsable_web for f in self.intent_filters
         )
 
-    @property
-    def is_launcher(self):
-        return any(f.is_launcher for f in self.intent_filters)
-
     def to_element(self):
         attrs = {"android:name": self.name}
         attrs["android:exported"] = "true" if self.exported else "false"

@@ -30,24 +30,9 @@ class AndroidManifest:
         return [c for c in self.components if c.kind == "activity"]
 
     @property
-    def services(self):
-        return [c for c in self.components if c.kind == "service"]
-
-    @property
     def receivers(self):
         return [c for c in self.components if c.kind == "receiver"]
 
-    def component_by_name(self, name):
-        for component in self.components:
-            if component.name == name:
-                return component
-        return None
-
-    def launcher_activity(self):
-        for activity in self.activities:
-            if activity.is_launcher:
-                return activity
-        return None
 
     def deep_link_activities(self):
         """Activities the paper's pipeline excludes (Section 3.1.3)."""

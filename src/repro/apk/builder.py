@@ -34,10 +34,6 @@ class ApkBuilder:
             self.add_class(dex_class)
         return self
 
-    def add_resource(self, name, data):
-        self.resources[name] = data
-        return self
-
     def build_bytes(self):
         """Serialize to APK bytes."""
         return write_apk(self.manifest, self.dex, self.resources)

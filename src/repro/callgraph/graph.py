@@ -2,8 +2,6 @@
 
 from collections import deque
 
-from repro.errors import CallGraphError
-
 
 class CallGraph:
     """A directed graph over method nodes.
@@ -17,21 +15,18 @@ class CallGraph:
 
     def __init__(self):
         self._successors = {}
-        self._predecessors = {}
 
     # -- construction ----------------------------------------------------------
 
     def add_node(self, node):
         if node not in self._successors:
             self._successors[node] = []
-            self._predecessors[node] = []
         return node
 
     def add_edge(self, caller, callee):
         self.add_node(caller)
         self.add_node(callee)
         self._successors[caller].append(callee)
-        self._predecessors[callee].append(caller)
 
     # -- accessors --------------------------------------------------------------
 
@@ -42,30 +37,6 @@ class CallGraph:
     @property
     def edge_count(self):
         return sum(len(edges) for edges in self._successors.values())
-
-    def nodes(self):
-        return iter(self._successors)
-
-    def has_node(self, node):
-        return node in self._successors
-
-    def successors(self, node):
-        if node not in self._successors:
-            raise CallGraphError("unknown node: %r" % (node,))
-        return list(self._successors[node])
-
-    def predecessors(self, node):
-        if node not in self._predecessors:
-            raise CallGraphError("unknown node: %r" % (node,))
-        return list(self._predecessors[node])
-
-    def callers_of(self, node):
-        """Distinct callers of ``node`` (empty for unknown nodes)."""
-        seen = []
-        for caller in self._predecessors.get(node, []):
-            if caller not in seen:
-                seen.append(caller)
-        return seen
 
     # -- traversal ----------------------------------------------------------------
 
@@ -84,12 +55,6 @@ class CallGraph:
                     visited.add(successor)
                     queue.append(successor)
         return visited
-
-    def path_exists(self, source, target):
-        """True if ``target`` is reachable from ``source``."""
-        if source not in self._successors:
-            return False
-        return target in self.reachable_from([source])
 
     def __repr__(self):
         return "CallGraph(%d nodes, %d edges)" % (

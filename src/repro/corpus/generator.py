@@ -40,15 +40,10 @@ class Corpus:
         #: the churn applied on top of the base universe, so the corpus
         #: fingerprint distinguishes differently evolved timelines.
         self.evolution_token = None
-        self._by_package = {spec.package: spec for spec in specs}
-
-    def spec_for(self, package):
-        return self._by_package.get(package)
 
     def add_spec(self, spec):
         """Register a spec added after generation (snapshot evolution)."""
         self.specs.append(spec)
-        self._by_package[spec.package] = spec
         return spec
 
     def fingerprint(self):

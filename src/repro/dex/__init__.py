@@ -24,7 +24,6 @@ from repro.dex.binary import (
     serialize_dex,
 )
 from repro.dex.assembler import ClassBuilder, MethodBuilder
-from repro.dex.disassembler import disassemble, disassemble_class, assemble
 
 __all__ = [
     "Opcode",
@@ -41,7 +40,4 @@ __all__ = [
     "class_digest",
     "ClassBuilder",
     "MethodBuilder",
-    "disassemble",
-    "disassemble_class",
-    "assemble",
 ]

@@ -40,9 +40,6 @@ class MethodBuilder:
     def const_string(self, value):
         return self.emit(Opcode.CONST_STRING, value)
 
-    def const_int(self, value):
-        return self.emit(Opcode.CONST_INT, value)
-
     def new_instance(self, class_name):
         return self.emit(Opcode.NEW_INSTANCE, class_name)
 
@@ -69,9 +66,6 @@ class MethodBuilder:
     def call(self, ref):
         """Invoke an arbitrary :class:`MethodRef` virtually."""
         return self.emit(Opcode.INVOKE_VIRTUAL, ref)
-
-    def iput(self, class_name, field_name):
-        return self.emit(Opcode.IPUT, (class_name, field_name))
 
     def sget(self, class_name, field_name):
         return self.emit(Opcode.SGET, (class_name, field_name))

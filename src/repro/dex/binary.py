@@ -67,39 +67,6 @@ class _Writer:
         return b"".join(self.parts)
 
 
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.offset = 0
-
-    def u8(self):
-        value = self.data[self.offset]
-        self.offset += 1
-        return value
-
-    def u16(self):
-        (value,) = _U16.unpack_from(self.data, self.offset)
-        self.offset += 2
-        return value
-
-    def u32(self):
-        (value,) = _U32.unpack_from(self.data, self.offset)
-        self.offset += 4
-        return value
-
-    def i32(self):
-        (value,) = _I32.unpack_from(self.data, self.offset)
-        self.offset += 4
-        return value
-
-    def raw(self, length):
-        chunk = self.data[self.offset: self.offset + length]
-        if len(chunk) != length:
-            raise DexError("truncated dex data")
-        self.offset += length
-        return chunk
-
-
 class _StringPool:
     def __init__(self):
         self.strings = []
@@ -311,7 +278,7 @@ def deserialize_dex(data):
 
     This is the first thing the analysis pipeline does to every APK, so
     the inner loops are hand-inlined: direct ``unpack_from`` on a local
-    offset instead of :class:`_Reader` method calls, dict-based opcode
+    offset instead of reader method calls, dict-based opcode
     dispatch instead of the enum constructor, and a trusted-path
     :class:`Instruction` build that skips re-validating operand shapes
     the wire format already guarantees.

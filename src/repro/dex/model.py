@@ -36,10 +36,6 @@ class MethodRef:
     def return_type(self):
         return self.descriptor[self.descriptor.index(")") + 1:]
 
-    @property
-    def qualified_name(self):
-        return "%s.%s" % (self.class_name, self.method_name)
-
     def key(self):
         return (self.class_name, self.method_name, self.descriptor)
 
@@ -148,12 +144,6 @@ class DexMethod:
         """Yield every MethodRef invoked by this method, in order."""
         for instruction in self.instructions:
             if instruction.opcode.is_invoke:
-                yield instruction.operand
-
-    def string_constants(self):
-        """Yield every string constant loaded by this method, in order."""
-        for instruction in self.instructions:
-            if instruction.opcode == Opcode.CONST_STRING:
                 yield instruction.operand
 
     def __repr__(self):

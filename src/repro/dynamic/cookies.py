@@ -33,9 +33,6 @@ class WebViewCookieManager:
             return None
         return "; ".join("%s=%s" % item for item in sorted(cookies.items()))
 
-    def has_session(self, host):
-        return bool(self._jar.get(host.lower()))
-
     def remove_all_cookies(self):
         self._jar.clear()
 
@@ -60,6 +57,3 @@ class DeviceCookieStores:
         if app_package not in self._per_app:
             self._per_app[app_package] = WebViewCookieManager(app_package)
         return self._per_app[app_package]
-
-    def app_count(self):
-        return len(self._per_app)

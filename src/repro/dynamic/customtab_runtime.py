@@ -28,9 +28,6 @@ class BrowserSession:
     def cookies_for(self, host):
         return dict(self.cookies.get(host, {}))
 
-    def is_logged_in(self, host):
-        return bool(self.cookies.get(host))
-
 
 class CustomTabsCallback:
     """The app-facing callback surface of a CT session.
@@ -58,9 +55,6 @@ class CustomTabsCallback:
 
     def on_greatest_scroll_percentage_increased(self, percentage):
         self.engagement["scroll_percentage"] = percentage
-
-    def events_seen(self):
-        return [event for event, _ in self.events]
 
 
 class CustomTabRuntime:
@@ -171,14 +165,6 @@ class PartialCustomTab(CustomTabRuntime):
         self.height_px = self._clamp(height_px)
         self.expanded = self.height_px >= self.screen_height_px
         return self.height_px
-
-    def expand(self):
-        """Expand to a full-screen CT."""
-        return self.resize(self.screen_height_px)
-
-    @property
-    def is_inline(self):
-        return not self.expanded
 
     def show_ad(self, ad_url):
         """Render ad content — isolated, unlike a WebView ad (4.1.1)."""

@@ -25,9 +25,6 @@ class Logcat:
     def filter(self, tag):
         return [message for t, message in self.lines if t == tag]
 
-    def contains(self, needle):
-        return any(needle in message for _, message in self.lines)
-
     def clear(self):
         self.lines = []
 

@@ -125,9 +125,5 @@ class FridaSession:
             methods[name] = exposed if exposed else ("postMessage",)
         return methods
 
-    @property
-    def performed_injection(self):
-        return bool(self.injected_scripts() or self.injected_bridges())
-
     def __len__(self):
         return len(self.calls)

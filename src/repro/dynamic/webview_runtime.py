@@ -12,7 +12,7 @@ interception active when the page carries the trace script.
 from repro.android.api import X_REQUESTED_WITH_HEADER
 from repro.errors import JsError, NetworkError
 from repro.netstack.network import Request
-from repro.web.html5_testpage import HTML5_TEST_PAGE, TEST_PAGE_URL
+from repro.web.html5_testpage import TEST_PAGE_URL, build_test_document
 from repro.web.htmlparser import parse_html
 from repro.web.jsdom import DomBridge
 from repro.web.jsengine import (
@@ -142,7 +142,7 @@ class WebViewRuntime:
 
     def load_test_page(self):
         """Navigate to the controlled measurement page (3.2.2)."""
-        self.document = parse_html(HTML5_TEST_PAGE, url=TEST_PAGE_URL)
+        self.document = build_test_document()
         self.current_url = TEST_PAGE_URL
         self.load_count += 1
         host = TEST_PAGE_URL.split("://", 1)[1].split("/", 1)[0]

@@ -38,7 +38,6 @@ from repro.endpoints.crossval import (
     cross_validate,
     session_netlog,
     strip_query,
-    validation_table,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "session_netlog",
     "strip_query",
     "summary_for_class",
-    "validation_table",
 ]

@@ -123,9 +123,6 @@ class ValidationResult:
         self.static_detail = list(static_detail)
         self.dynamic_detail = list(dynamic_detail)
 
-    def by_sdk(self):
-        return {row.sdk: row for row in self.rows}
-
     def as_rows(self):
         """Plain tuples, the exact shape the results store ingests."""
         return [row.as_row() for row in self.rows]
@@ -200,19 +197,3 @@ def cross_validate(result, census, top=DEFAULT_OVERLAP, seed=None):
 
     return ValidationResult(len(overlap), validation_rows(observations),
                             static_detail, dynamic_detail)
-
-
-def validation_table(validation):
-    """The precision/recall rows as a reporting table."""
-    from repro.reporting import Table
-
-    table = Table(
-        ["sdk", "static", "dynamic", "matched", "precision", "recall"],
-        title="Static vs dynamic endpoints (top-%d overlap)"
-        % validation.apps,
-    )
-    for row in validation.rows:
-        table.add_row(row.sdk, row.static_total, row.dynamic_total,
-                      "%d/%d" % (row.matched_static, row.matched_dynamic),
-                      "%.3f" % row.precision, "%.3f" % row.recall)
-    return table

@@ -33,7 +33,8 @@ MAX_ENTRIES_ENV_VAR = "REPRO_CACHE_MAX_ENTRIES"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 
 
-def _env_max_entries():
+def env_max_entries():
+    """The ``REPRO_CACHE_MAX_ENTRIES`` bound, or None when unbounded."""
     value = _env_int(MAX_ENTRIES_ENV_VAR, 0)
     return value if value > 0 else None
 
@@ -43,8 +44,12 @@ def _env_cache_dir():
     return raw if raw and raw.strip() else None
 
 
-class _LruStore:
-    """A bounded mapping evicting least-recently-used entries."""
+class LruStore:
+    """A bounded mapping evicting least-recently-used entries.
+
+    Shared with the dynamic pipeline's site-template cache, which follows
+    the same ``REPRO_CACHE_MAX_ENTRIES`` bound (:func:`env_max_entries`).
+    """
 
     def __init__(self, max_entries=None):
         self.max_entries = max_entries
@@ -77,17 +82,6 @@ class _LruStore:
 
     def __len__(self):
         return len(self.entries)
-
-
-#: Public alias: the bounded-LRU primitive is shared with the dynamic
-#: pipeline's site-template cache, which follows the same
-#: ``REPRO_CACHE_MAX_ENTRIES`` convention (:func:`env_max_entries`).
-LruStore = _LruStore
-
-
-def env_max_entries():
-    """The ``REPRO_CACHE_MAX_ENTRIES`` bound, or None when unbounded."""
-    return _env_max_entries()
 
 
 #: Default fact kind: the decompile/parse facts of
@@ -124,10 +118,10 @@ class ClassFactsCache:
     def __init__(self, max_entries=None, cache_dir=None,
                  kind=CLASS_FACTS_KIND):
         if max_entries is None:
-            max_entries = _env_max_entries()
+            max_entries = env_max_entries()
         if cache_dir is None:
             cache_dir = _env_cache_dir()
-        self._store = _LruStore(max_entries)
+        self._store = LruStore(max_entries)
         self.cache_dir = cache_dir
         self.kind = kind
         self.hits = 0
@@ -206,11 +200,6 @@ class ClassFactsCache:
     def evictions(self):
         return self._store.evictions
 
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def clear(self):
         """Drop the in-memory entries and reset hit/miss accounting."""
         self._store.clear()
@@ -248,8 +237,8 @@ class AnalysisCache:
     def __init__(self, max_entries=None, cache_dir=None, classes=None,
                  summaries=None):
         if max_entries is None:
-            max_entries = _env_max_entries()
-        self._entries = _LruStore(max_entries)
+            max_entries = env_max_entries()
+        self._entries = LruStore(max_entries)
         self.classes = (classes if classes is not None
                         else ClassFactsCache(max_entries=max_entries,
                                              cache_dir=cache_dir))
@@ -284,11 +273,6 @@ class AnalysisCache:
     @property
     def max_entries(self):
         return self._entries.max_entries
-
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def clear(self):
         """Drop every tier's in-memory entries and reset its accounting."""

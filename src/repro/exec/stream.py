@@ -135,11 +135,6 @@ class OrderedFlush:
             self.callback(self.next, self._buffer.pop(self.next))
             self.next += 1
 
-    @property
-    def buffered(self):
-        """Out-of-order results currently held back."""
-        return len(self._buffer)
-
 
 class StreamStage:
     """One producer stage and its declared downstream consumers.

@@ -21,7 +21,6 @@ from repro.impact.attacker import (
     AppImpact,
     BridgeFinding,
     cleartext_urls,
-    mitm_exposed,
     probe_app,
 )
 from repro.impact.census import (
@@ -56,7 +55,6 @@ __all__ = [
     "SEVERITY_ORDER",
     "cleartext_urls",
     "grade_severity",
-    "mitm_exposed",
     "probe_app",
     "severity_rank",
 ]

@@ -61,11 +61,6 @@ def cleartext_urls(urls):
     return exposed
 
 
-def mitm_exposed(urls):
-    """Whether a network log contains at least one MITM-writable visit."""
-    return bool(cleartext_urls(urls))
-
-
 class BridgeFinding:
     """One (app, SDK, bridge, attacker) capability observation.
 

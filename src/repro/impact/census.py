@@ -7,7 +7,7 @@ tree, and ships picklable findings back to the parent, which merges
 them — and records every metric — in app selection order. The census is
 therefore byte-identical at any worker count and on both exec backends.
 
-The ranking tables order SDKs by injection *capability* (highest
+The capability ranking orders SDKs by injection *capability* (highest
 severity reached, then how often), not by how many injections were
 counted — the distinction the paper's Table 8 cannot make.
 """
@@ -32,7 +32,6 @@ from repro.obs import (
     get_logger,
     use_tracer,
 )
-from repro.reporting import Table
 from repro.web.jsengine import script_cache_override
 
 #: Impact shards are whole apps, like crawl shards.
@@ -156,29 +155,6 @@ class ImpactResult:
         return capability_ranking(
             (finding.sdk, finding.severity) for finding in self.findings
         )
-
-    def census_table(self):
-        """The severity census as a reporting table."""
-        table = Table(
-            ["attacker", "severity", "findings"],
-            title="Injection impact census",
-        )
-        for (attacker, severity), count in self.severity_counts().items():
-            table.add_row(attacker, severity, count)
-        return table
-
-    def ranking_table(self):
-        """The SDK capability ranking as a reporting table."""
-        table = Table(
-            ["rank", "sdk", "capability"] + list(SEVERITY_ORDER),
-            title="SDKs by injection capability",
-        )
-        for position, (sdk, reached, counts) in enumerate(
-            self.sdk_capability_ranking(), start=1
-        ):
-            table.add_row(position, sdk, reached,
-                          *[counts[s] for s in SEVERITY_ORDER])
-        return table
 
 
 class ImpactCensus:

@@ -47,10 +47,6 @@ class Name(Node):
             parts = parts.split(".")
         self.parts = list(parts)
 
-    @property
-    def dotted(self):
-        return ".".join(self.parts)
-
 
 class FieldAccess(Node):
     """``<target>.<name>`` where target is an expression."""
@@ -71,14 +67,6 @@ class MethodCall(Node):
         self.target = target
         self.name = name
         self.args = list(args)
-
-    def receiver_dotted(self):
-        """The receiver as a dotted string, when it is a plain name."""
-        if isinstance(self.target, Name):
-            return self.target.dotted
-        if isinstance(self.target, Cast):
-            return self.target.type_name
-        return None
 
 
 class New(Node):
@@ -265,12 +253,6 @@ class MethodDecl(Node):
             if isinstance(expression, MethodCall):
                 yield expression
 
-    def string_literals(self):
-        """Yield every string literal in the body."""
-        for expression in self.walk_expressions():
-            if isinstance(expression, Literal) and expression.java_type == "String":
-                yield expression.value
-
 
 class ClassDecl(Node):
     _fields = ("modifiers", "name", "extends", "implements", "fields",
@@ -313,18 +295,3 @@ class CompilationUnit(Node):
         if self.package:
             return "%s.%s" % (self.package, name)
         return name
-
-    def classes_extending(self, qualified_base):
-        """Return classes (incl. inner) whose resolved superclass matches."""
-        matches = []
-
-        def visit(class_decl):
-            if class_decl.extends is not None:
-                if self.resolve_type(class_decl.extends) == qualified_base:
-                    matches.append(class_decl)
-            for inner in class_decl.inner_classes:
-                visit(inner)
-
-        for type_decl in self.types:
-            visit(type_decl)
-        return matches

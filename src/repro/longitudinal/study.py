@@ -16,7 +16,7 @@ from repro.corpus.generator import generate_corpus
 from repro.exec import ExecConfig
 from repro.longitudinal.delta import IncrementalRunner
 from repro.longitudinal.runstore import RunStore
-from repro.longitudinal.trends import SnapshotPoint, TrendSeries
+from repro.longitudinal.trends import TrendSeries
 from repro.obs import Obs
 from repro.util import DEFAULT_SEED
 
@@ -92,10 +92,7 @@ class LongitudinalStudy:
         if not self.runs:
             self.run_all()
         with self.obs.activate():
-            return TrendSeries([
-                SnapshotPoint(run.snapshot_date, run.result)
-                for run in self.runs
-            ])
+            return TrendSeries.from_runs(self.runs)
 
     def trend_table(self):
         return self.trend().adoption_table()

@@ -119,6 +119,7 @@ class TrendSeries:
                 webview_delta,
                 ct_delta,
             )
+            previous = point
         return table
 
     def sdk_trend_table(self, top_n=8):
@@ -144,17 +145,6 @@ class TrendSeries:
             ]
             table.add_row(name, *counts, "%+d" % (counts[-1] - counts[0]))
         return table
-
-    def adoption_deltas(self):
-        """[(date, Δwebview pp, Δct pp)] between consecutive snapshots."""
-        deltas = []
-        for previous, point in zip(self.points, self.points[1:]):
-            deltas.append((
-                point.date,
-                point.webview_share - previous.webview_share,
-                point.ct_share - previous.ct_share,
-            ))
-        return deltas
 
     def __repr__(self):
         return "TrendSeries(%d snapshots)" % len(self.points)

@@ -7,7 +7,6 @@ headers the pipelines care about (``X-Requested-With`` detection works
 because requests carry real header dicts).
 """
 
-from repro.android.api import X_REQUESTED_WITH_HEADER
 from repro.errors import DnsError
 from repro.exec.cache import LruStore, env_max_entries
 from repro.netstack.netlog import NetLogEventType
@@ -23,15 +22,6 @@ class Request:
         self.method = method
         self.headers = dict(headers or {})
         self.body = body
-
-    @property
-    def from_webview(self):
-        """Sites can detect WebView traffic via X-Requested-With (Sec. 5)."""
-        return X_REQUESTED_WITH_HEADER in self.headers
-
-    @property
-    def requesting_app(self):
-        return self.headers.get(X_REQUESTED_WITH_HEADER)
 
     def __repr__(self):
         return "Request(%s %s)" % (self.method, self.url)
@@ -117,11 +107,6 @@ class SiteTemplateCache:
         else:
             self.hits += 1
         return template
-
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def clear(self):
         self._store.clear()

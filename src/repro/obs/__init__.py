@@ -37,7 +37,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     REGISTRY,
     TickClock,
-    default_registry,
 )
 from repro.obs.progress import (
     PROGRESS_ENV_VAR,
@@ -248,7 +247,6 @@ __all__ = [
     "current_context",
     "current_tracer",
     "default_obs",
-    "default_registry",
     "default_tracer",
     "format_kv",
     "get_logger",

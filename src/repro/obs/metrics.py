@@ -7,10 +7,8 @@ plain Python numbers — no wall-clock dependence anywhere — so two runs of
 a deterministic study produce bit-identical registries.
 
 The registry exports to JSON and back via :meth:`MetricsRegistry.as_dict`
-/ :meth:`MetricsRegistry.from_dict` (and the ``to_json`` convenience).
+/ :meth:`MetricsRegistry.from_dict`.
 """
-
-import json
 
 
 class TickClock:
@@ -153,9 +151,6 @@ class Gauge(_Metric):
         if self.labelnames:
             raise MetricError("use %s.labels(...).inc()" % self.name)
         self._value += amount
-
-    def dec(self, amount=1):
-        self.inc(-amount)
 
     @property
     def value(self):
@@ -322,9 +317,6 @@ class MetricsRegistry:
             out.append(entry)
         return {"metrics": out}
 
-    def to_json(self, indent=None):
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data):
         """Rebuild a registry from :meth:`as_dict` output (JSON round-trip)."""
@@ -349,14 +341,5 @@ class MetricsRegistry:
                     target._value = sample["value"]
         return registry
 
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
-
 #: The process-global default registry (instrumentation falls back to it).
 REGISTRY = MetricsRegistry()
-
-
-def default_registry():
-    return REGISTRY

@@ -198,13 +198,6 @@ class Tracer:
                 return span
         return None
 
-    def stage_totals(self):
-        """``{span name: total duration}`` across the whole forest."""
-        totals = {}
-        for span in self.iter_spans():
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration
-        return totals
-
     def to_dict(self):
         """The JSON trace tree (a forest of root spans).
 

@@ -27,10 +27,6 @@ class Table:
             )
         self.rows.append(list(cells))
 
-    def add_section(self, label):
-        """Insert a section separator row (rendered as a ruled label)."""
-        self.rows.append(_Section(label))
-
     @staticmethod
     def _format_cell(cell):
         if isinstance(cell, bool):
@@ -44,8 +40,6 @@ class Table:
     def _column_widths(self, formatted_rows):
         widths = [len(c) for c in self.columns]
         for row in formatted_rows:
-            if isinstance(row, _Section):
-                continue
             for i, cell in enumerate(row):
                 widths[i] = max(widths[i], len(cell))
         return widths
@@ -60,21 +54,10 @@ class Table:
 
     def render(self):
         """Render the table to a string."""
-        formatted = [
-            row if isinstance(row, _Section)
-            else [self._format_cell(c) for c in row]
-            for row in self.rows
-        ]
+        formatted = [[self._format_cell(c) for c in row] for row in self.rows]
         widths = self._column_widths(formatted)
         aligns = [
-            self._alignment(
-                i,
-                [
-                    row[i]
-                    for row in self.rows
-                    if not isinstance(row, _Section)
-                ],
-            )
+            self._alignment(i, [row[i] for row in self.rows])
             for i in range(len(self.columns))
         ]
         total_width = sum(widths) + 3 * (len(widths) - 1)
@@ -84,10 +67,7 @@ class Table:
         lines.append(self._render_row(self.columns, widths, ["l"] * len(widths)))
         lines.append("-" * total_width)
         for row in formatted:
-            if isinstance(row, _Section):
-                lines.append("-- %s %s" % (row.label, "-" * max(0, total_width - len(row.label) - 4)))
-            else:
-                lines.append(self._render_row(row, widths, aligns))
+            lines.append(self._render_row(row, widths, aligns))
         return "\n".join(lines)
 
     @staticmethod
@@ -102,17 +82,7 @@ class Table:
 
     def as_records(self):
         """Return rows as dictionaries keyed by column name."""
-        records = []
-        for row in self.rows:
-            if isinstance(row, _Section):
-                continue
-            records.append(dict(zip(self.columns, row)))
-        return records
+        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def __str__(self):
         return self.render()
-
-
-class _Section:
-    def __init__(self, label):
-        self.label = label

@@ -32,6 +32,7 @@ and folds one into a flamegraph (``flamegraph``).
 import argparse
 import collections
 import json
+import os
 import sys
 import threading
 
@@ -52,13 +53,6 @@ class ResultsService:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-
-    @classmethod
-    def from_env(cls):
-        store = ResultsStore.from_env()
-        if store is None:
-            return None
-        return cls(store)
 
     # -- cache ---------------------------------------------------------------
 
@@ -85,12 +79,6 @@ class ResultsService:
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
         return value
-
-    def cache_clear(self):
-        with self._lock:
-            self._cache.clear()
-            self.hits = 0
-            self.misses = 0
 
     # -- queries -------------------------------------------------------------
 
@@ -790,7 +778,15 @@ def main(argv=None):
         "run": _cmd_run,
         "flamegraph": _cmd_flamegraph,
     }[args.command]
-    return handler(service, args)
+    try:
+        status = handler(service, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``... | head``). Point stdout at
+        # devnull so the flush at exit cannot raise again, and stop.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ from repro.errors import NetworkError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span
-from repro.persist import SqliteStore, env_path
+from repro.persist import SqliteStore
 from repro.web.classify import classify_endpoint
 from repro.web.urls import parse_url_cached
 
@@ -226,11 +226,6 @@ CREATE TABLE IF NOT EXISTS bench_payloads (
 CREATE INDEX IF NOT EXISTS runs_by_key
     ON runs (kind, corpus, options, seq);
 """
-
-
-def env_db_path():
-    """The validated ``REPRO_RESULTS_DB`` value, or None when unset."""
-    return env_path(RESULTS_DB_ENV_VAR, ResultsStore.FILE_NAME)
 
 
 def study_sinks(telemetry, results_store):

@@ -80,8 +80,3 @@ class SdkLabeler:
         if looks_obfuscated(java_package):
             return PackageLabel(java_package, PackageLabel.OBFUSCATED)
         return PackageLabel(java_package, PackageLabel.UNKNOWN)
-
-    def profile_for_package(self, java_package):
-        """The SdkProfile owning ``java_package``, or None."""
-        label = self.label(java_package)
-        return label.sdk

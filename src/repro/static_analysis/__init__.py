@@ -16,7 +16,6 @@ from repro.static_analysis.pipeline import (
     StaticAnalysisPipeline,
     analyze_apk_bytes,
 )
-from repro.static_analysis.webview_usage import find_webview_subclasses
 from repro.static_analysis.deeplinks import deep_link_class_names
 from repro.static_analysis import report
 from repro.static_analysis import nutrition
@@ -28,7 +27,6 @@ __all__ = [
     "PipelineOptions",
     "StaticAnalysisPipeline",
     "analyze_apk_bytes",
-    "find_webview_subclasses",
     "deep_link_class_names",
     "report",
     "nutrition",

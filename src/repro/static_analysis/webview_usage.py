@@ -71,14 +71,6 @@ def webview_subclasses_from_entries(entries):
     return subclasses
 
 
-def find_webview_subclasses(decompiled_app):
-    """Return the qualified names of classes extending WebView."""
-    entries = []
-    for source in decompiled_app.sources.values():
-        entries.extend(class_web_source_facts(source))
-    return webview_subclasses_from_entries(entries)
-
-
 def _iter_class_decls(unit):
     stack = list(unit.types)
     while stack:

@@ -12,7 +12,6 @@ from repro.web.jsengine import (
     default_script_cache,
     parse_js,
     record_script_events,
-    run_script,
     script_cache_override,
     script_digest,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "default_script_cache",
     "parse_js",
     "record_script_events",
-    "run_script",
     "script_cache_override",
     "script_digest",
     "HTML5_TEST_PAGE",

@@ -225,15 +225,6 @@ class Document(Element):
                 return el
         return None
 
-    def tag_histogram(self):
-        """Frequency dictionary of tag counts (Facebook's DOM-count probe)."""
-        histogram = {}
-        for el in self.elements():
-            if el is self:
-                continue
-            histogram[el.tag] = histogram.get(el.tag, 0) + 1
-        return histogram
-
     def __repr__(self):
         return "Document(%s, %d elements)" % (
             self.url, sum(1 for _ in self.elements()) - 1

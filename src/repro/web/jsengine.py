@@ -1030,6 +1030,25 @@ def to_number(value):
     return float("nan")
 
 
+def _to_integer(value):
+    """JS ToIntegerOrInfinity: NaN is 0, +-Infinity stays, the rest
+    truncates toward zero. Each builtin clamps the infinities itself."""
+    number = to_number(value)
+    if number != number:
+        return 0
+    if number == _INF or number == -_INF:
+        return number
+    return int(number)
+
+
+def _slice_bound(args, position, length, default):
+    """``args[position]`` as a relative slice bound in ``[-length, length]``
+    (undefined or absent means ``default``)."""
+    if len(args) <= position or args[position] is UNDEFINED:
+        return default
+    return max(-length, min(_to_integer(args[position]), length))
+
+
 def _to_int32(value):
     number = to_number(value)
     if number != number or number in (float("inf"), float("-inf")):
@@ -1256,18 +1275,22 @@ class JsInterpreter:
         raise JsRuntimeError("cannot set property %r" % name)
 
     def get_index(self, target, index):
+        # Only an integer in [0, length) reads an element; NaN, the
+        # infinities, fractions and negatives read undefined, as in JS.
         if isinstance(target, JsArray):
             if isinstance(index, (int, float)) and not isinstance(index, bool):
-                position = int(index)
-                if 0 <= position < len(target.elements):
-                    return target.elements[position]
+                if 0 <= index < len(target.elements):
+                    position = int(index)
+                    if position == index:
+                        return target.elements[position]
                 return UNDEFINED
             return _array_member(target, to_string(index), self)
         if isinstance(target, str):
             if isinstance(index, (int, float)) and not isinstance(index, bool):
-                position = int(index)
-                if 0 <= position < len(target):
-                    return target[position]
+                if 0 <= index < len(target):
+                    position = int(index)
+                    if position == index:
+                        return target[position]
                 return UNDEFINED
             return _string_member(target, to_string(index))
         if isinstance(target, (JsObject, HostObject)):
@@ -1957,8 +1980,9 @@ def _array_member(array, name, interp):
         return NativeFunction("indexOf", index_of)
     if name == "slice":
         def slice_fn(args, this):
-            start = int(to_number(args[0])) if args else 0
-            end = int(to_number(args[1])) if len(args) > 1 else None
+            length = len(array.elements)
+            start = _slice_bound(args, 0, length, 0)
+            end = _slice_bound(args, 1, length, length)
             return JsArray(array.elements[start:end])
         return NativeFunction("slice", slice_fn)
     if name == "concat":
@@ -1973,7 +1997,7 @@ def _array_member(array, name, interp):
         return NativeFunction("concat", concat)
     if name == "item":
         def item(args, this):
-            position = int(to_number(args[0])) if args else 0
+            position = _to_integer(args[0]) if args else 0
             if 0 <= position < len(array.elements):
                 return array.elements[position]
             return None
@@ -2041,14 +2065,14 @@ def _string_member(text, name):
         return NativeFunction(name, simple[name])
     if name == "charCodeAt":
         def char_code_at(args, this):
-            position = int(to_number(args[0])) if args else 0
+            position = _to_integer(args[0]) if args else 0
             if 0 <= position < len(text):
                 return float(ord(text[position]))
             return float("nan")
         return NativeFunction("charCodeAt", char_code_at)
     if name == "charAt":
         def char_at(args, this):
-            position = int(to_number(args[0])) if args else 0
+            position = _to_integer(args[0]) if args else 0
             return text[position] if 0 <= position < len(text) else ""
         return NativeFunction("charAt", char_at)
     if name == "indexOf":
@@ -2056,17 +2080,18 @@ def _string_member(text, name):
             text.find(to_string(args[0]) if args else "undefined")))
     if name == "substring":
         def substring(args, this):
-            start = max(0, int(to_number(args[0]))) if args else 0
-            end = (max(0, int(to_number(args[1])))
-                   if len(args) > 1 else len(text))
+            length = len(text)
+            start = max(0, _slice_bound(args, 0, length, 0))
+            end = max(0, _slice_bound(args, 1, length, length))
             if start > end:
                 start, end = end, start
             return text[start:end]
         return NativeFunction("substring", substring)
     if name == "slice":
         def slice_fn(args, this):
-            start = int(to_number(args[0])) if args else 0
-            end = int(to_number(args[1])) if len(args) > 1 else None
+            length = len(text)
+            start = _slice_bound(args, 0, length, 0)
+            end = _slice_bound(args, 1, length, length)
             return text[start:end]
         return NativeFunction("slice", slice_fn)
     if name == "split":
@@ -2093,9 +2118,12 @@ def _string_member(text, name):
 def _number_member(number, name):
     if name == "toFixed":
         def to_fixed(args, this):
+            digits = _to_integer(args[0]) if args else 0
+            if not 0 <= digits <= 100:
+                raise JsRuntimeError(
+                    "toFixed() digits argument must be between 0 and 100")
             if not math.isfinite(number):
                 return _number_to_string(number)
-            digits = int(to_number(args[0])) if args else 0
             return "%.*f" % (digits, number)
         return NativeFunction("toFixed", to_fixed)
     if name == "toString":
@@ -2103,13 +2131,3 @@ def _number_member(number, name):
             "toString", lambda args, this: _number_to_string(number)
         )
     return UNDEFINED
-
-
-def run_script(source, globals_map=None):
-    """Convenience: run a script with the given host globals.
-
-    Returns the interpreter (for console output and globals inspection).
-    """
-    interpreter = JsInterpreter(globals_map)
-    interpreter.run(source)
-    return interpreter

@@ -143,9 +143,6 @@ class Url:
         """True when both URLs share a registrable domain (same-site)."""
         return self.registrable_domain == other.registrable_domain
 
-    def same_origin(self, other):
-        return self.origin == other.origin
-
     @property
     def query_params(self):
         """Decoded query parameters as an ordered ``{key: [values]}``.

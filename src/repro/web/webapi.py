@@ -8,8 +8,6 @@ runtime routes every DOM/Web API call through :meth:`record`, and the
 exactly as Table 9 reports it.
 """
 
-from collections import defaultdict
-
 
 class WebApiCall:
     """One intercepted Web API invocation."""
@@ -42,16 +40,6 @@ class WebApiRecorder:
 
     def record(self, interface, method, args=()):
         self.calls.append(WebApiCall(interface, method, args))
-
-    def methods_by_interface(self):
-        """Table 9 view: interface -> sorted distinct method names."""
-        grouped = defaultdict(set)
-        for call in self.calls:
-            grouped[call.interface].add(call.method)
-        return {
-            interface: sorted(methods)
-            for interface, methods in grouped.items()
-        }
 
     def pairs(self):
         """Distinct (interface, method) pairs, in first-seen order."""

@@ -24,6 +24,8 @@ from repro.android.components import (
 )
 from repro.dex import MethodRef
 from repro.errors import ManifestError
+from repro.static_analysis.pipeline import _is_webview_call
+from repro.static_analysis.results import RecordedCall
 
 
 class TestAxml:
@@ -165,8 +167,10 @@ class TestManifest:
     def test_component_accessors(self):
         manifest = self.make()
         assert len(manifest.activities) == 2
-        assert len(manifest.services) == 1
-        assert manifest.launcher_activity().name == "com.example.app.MainActivity"
+        assert [c.kind for c in manifest.components].count("service") == 1
+        assert [a.name for a in manifest.activities
+                if any(f.is_launcher for f in a.intent_filters)] == [
+            "com.example.app.MainActivity"]
 
     def test_deep_link_activities(self):
         manifest = self.make()
@@ -183,8 +187,9 @@ class TestManifest:
 
     def test_component_by_name(self):
         manifest = self.make()
-        assert manifest.component_by_name("com.example.app.SyncService") is not None
-        assert manifest.component_by_name("missing") is None
+        names = [c.name for c in manifest.components]
+        assert "com.example.app.SyncService" in names
+        assert "missing" not in names
 
 
 class TestIntents:
@@ -245,20 +250,27 @@ class TestIntents:
         assert resolution.kind == IntentResolution.UNHANDLED
 
 
+def content_call(ref):
+    """The pipeline's record of a WebView call to ``ref``."""
+    return RecordedCall(RecordedCall.WEBVIEW, ref.method_name,
+                        "com.app.Caller", ref.class_name)
+
+
 class TestApiSurface:
     def test_webview_method_detection(self):
         ref = MethodRef(api.WEBVIEW_CLASS, "loadUrl", "(java.lang.String)void")
-        assert api.is_webview_method_call(ref)
-        assert api.is_webview_content_call(ref)
+        assert _is_webview_call(ref, set())
+        assert content_call(ref).is_content_call
 
     def test_non_content_webview_method(self):
         ref = MethodRef(api.WEBVIEW_CLASS, "addJavascriptInterface")
-        assert api.is_webview_method_call(ref)
-        assert not api.is_webview_content_call(ref)
+        assert _is_webview_call(ref, set())
+        assert not content_call(ref).is_content_call
 
     def test_unrelated_class_not_detected(self):
         ref = MethodRef("com.other.Class", "loadUrl")
-        assert not api.is_webview_method_call(ref)
+        assert not _is_webview_call(ref, set())
+        assert _is_webview_call(ref, {"com.other.Class"})
 
     def test_ct_launch_detection(self):
         ref = MethodRef(api.CUSTOMTABS_INTENT_CLASS, "launchUrl",

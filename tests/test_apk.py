@@ -115,7 +115,7 @@ def build_sample_apk():
                        superclass="android.app.Activity")
     cls.method("onCreate", "(android.os.Bundle)void").return_void()
     builder.add_class(cls.build())
-    builder.add_resource("layout/main.xml", b"<layout/>")
+    builder.resources["layout/main.xml"] = b"<layout/>"
     return builder
 
 

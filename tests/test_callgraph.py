@@ -1,7 +1,5 @@
 """Tests for call-graph construction, entry points, and traversal."""
 
-import pytest
-
 from repro.android import AndroidManifest, IntentFilter
 from repro.android.components import (
     ACTION_MAIN,
@@ -17,7 +15,6 @@ from repro.callgraph import (
 )
 from repro.callgraph.entrypoints import is_callback_method
 from repro.dex import ClassBuilder, DexFile, MethodRef
-from repro.errors import CallGraphError
 
 
 class TestCallGraphStructure:
@@ -26,26 +23,6 @@ class TestCallGraphStructure:
         graph.add_edge("a", "b")
         assert graph.node_count == 2
         assert graph.edge_count == 1
-
-    def test_successors_predecessors(self):
-        graph = CallGraph()
-        graph.add_edge("a", "b")
-        graph.add_edge("a", "c")
-        assert set(graph.successors("a")) == {"b", "c"}
-        assert graph.predecessors("b") == ["a"]
-
-    def test_unknown_node_raises(self):
-        with pytest.raises(CallGraphError):
-            CallGraph().successors("missing")
-
-    def test_callers_of_deduplicates(self):
-        graph = CallGraph()
-        graph.add_edge("a", "b")
-        graph.add_edge("a", "b")
-        assert graph.callers_of("b") == ["a"]
-
-    def test_callers_of_unknown_is_empty(self):
-        assert CallGraph().callers_of("x") == []
 
     def test_reachability(self):
         graph = CallGraph()
@@ -75,9 +52,9 @@ class TestCallGraphStructure:
     def test_path_exists(self):
         graph = CallGraph()
         graph.add_edge("a", "b")
-        assert graph.path_exists("a", "b")
-        assert not graph.path_exists("b", "a")
-        assert not graph.path_exists("zz", "b")
+        assert "b" in graph.reachable_from(["a"])
+        assert "a" not in graph.reachable_from(["b"])
+        assert "b" not in graph.reachable_from(["zz"])
 
 
 def app_dex():
@@ -128,27 +105,27 @@ class TestBuilder:
         graph = build_call_graph(app_dex())
         node = MethodRef("com.app.MainActivity", "onCreate",
                          "(android.os.Bundle)void")
-        assert graph.has_node(node)
+        assert node in graph.reachable_from([node])
 
     def test_intra_app_edge(self):
         graph = build_call_graph(app_dex())
         caller = MethodRef("com.app.MainActivity", "onCreate",
                            "(android.os.Bundle)void")
         callee = MethodRef("com.app.MainActivity", "showPage", "()void")
-        assert callee in graph.successors(caller)
+        assert callee in graph.reachable_from([caller])
 
     def test_framework_call_is_external_node(self):
         graph = build_call_graph(app_dex())
         external = MethodRef("android.webkit.WebView", "loadUrl",
                              "(java.lang.String)void")
-        assert graph.has_node(external)
+        assert external in graph.reachable_from([external])
 
     def test_subclass_receiver_preserved(self):
         """Calls on a custom WebView subclass keep the subclass receiver."""
         graph = build_call_graph(app_dex())
         subclass_call = MethodRef("com.app.MyWebView", "loadUrl",
                                   "(java.lang.String)void")
-        assert graph.has_node(subclass_call)
+        assert subclass_call in graph.reachable_from([subclass_call])
 
     def test_superclass_resolution_of_defined_method(self):
         base = ClassBuilder("a.Base")
@@ -160,7 +137,7 @@ class TestBuilder:
         graph = build_call_graph(dex)
         caller = MethodRef("a.Derived", "m", "()void")
         resolved = MethodRef("a.Base", "shared", "()void")
-        assert resolved in graph.successors(caller)
+        assert resolved in graph.reachable_from([caller])
 
 
 class TestEntryPoints:

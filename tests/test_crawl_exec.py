@@ -224,7 +224,6 @@ class TestScriptCache:
         assert cache.misses == 1 and cache.hits == 0
         assert parse_cached(source) is program
         assert cache.hits == 1
-        assert cache.hit_rate == 0.5
         assert len(cache) == 1
 
     def test_distinct_sources_distinct_entries(self):

@@ -7,7 +7,18 @@ from repro.decompiler import Decompiler
 from repro.dex import ClassBuilder
 from repro.errors import BrokenApkError, DecompilationError
 from repro.javasrc import parse_java
-from repro.static_analysis.webview_usage import find_webview_subclasses
+from repro.static_analysis.webview_usage import (
+    class_web_source_facts,
+    webview_subclasses_from_entries,
+)
+
+
+def find_webview_subclasses(decompiled):
+    """The pipeline's subclass step over every decompiled source."""
+    return webview_subclasses_from_entries([
+        entry for source in decompiled.sources.values()
+        for entry in class_web_source_facts(source)
+    ])
 
 
 def sample_apk_bytes():

@@ -1,18 +1,10 @@
-"""Tests for the smali-style disassembler and the research-data export."""
+"""Tests for the research-data export."""
 
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.corpus import CorpusConfig, generate_corpus
-from repro.dex import AccessFlag, ClassBuilder, DexFile, MethodRef, Opcode
-from repro.dex.disassembler import (
-    assemble,
-    disassemble,
-    disassemble_class,
-)
-from repro.errors import DexError
 from repro.static_analysis import StaticAnalysisPipeline
 from repro.static_analysis.export import (
     export_calls_csv,
@@ -20,91 +12,6 @@ from repro.static_analysis.export import (
     export_study_json,
     load_study_json,
 )
-
-
-def sample_class():
-    builder = ClassBuilder("com.dis.app.Widget",
-                           superclass="android.view.View",
-                           interfaces=["java.lang.Runnable"])
-    builder.field("label", "java.lang.String", AccessFlag.PRIVATE)
-    method = builder.method("run", "()void")
-    method.const_string('line\n"quoted"')
-    method.new_instance("android.webkit.WebView")
-    method.invoke_virtual("android.webkit.WebView", "loadUrl",
-                          "(java.lang.String)void")
-    method.const_int(42)
-    method.iput("com.dis.app.Widget", "label")
-    method.return_void()
-    return builder.build()
-
-
-class TestDisassembler:
-    def test_output_shape(self):
-        text = disassemble_class(sample_class())
-        assert ".class public com.dis.app.Widget" in text
-        assert ".super android.view.View" in text
-        assert ".implements java.lang.Runnable" in text
-        assert "invoke-virtual {android.webkit.WebView->loadUrl" in text
-        assert ".end class" in text
-
-    def test_roundtrip(self):
-        original = DexFile([sample_class()])
-        recovered = assemble(disassemble(original))
-        assert len(recovered) == 1
-        cls = recovered.classes[0]
-        assert cls.name == "com.dis.app.Widget"
-        assert cls.superclass == "android.view.View"
-        assert cls.interfaces == ["java.lang.Runnable"]
-        assert cls.fields[0].name == "label"
-        original_method = original.classes[0].method("run")
-        assert cls.method("run").instructions == original_method.instructions
-
-    def test_string_escapes_roundtrip(self):
-        recovered = assemble(disassemble(DexFile([sample_class()])))
-        constants = list(recovered.classes[0].method("run").string_constants())
-        assert constants == ['line\n"quoted"']
-
-    def test_unknown_mnemonic_rejected(self):
-        with pytest.raises(DexError):
-            assemble(".class A.B\n.method m()void\n    warp-speed\n"
-                     ".end method\n.end class")
-
-    def test_directive_outside_class_rejected(self):
-        with pytest.raises(DexError):
-            assemble(".super java.lang.Object")
-
-    def test_comments_and_blanks_ignored(self):
-        text = "# header\n\n" + disassemble_class(sample_class())
-        assert assemble(text).classes[0].name == "com.dis.app.Widget"
-
-    _names = st.from_regex(r"[a-z]{1,6}(\.[A-Z][a-zA-Z0-9]{0,8}){1,2}",
-                           fullmatch=True)
-
-    @given(
-        _names,
-        st.lists(
-            st.one_of(
-                st.builds(lambda s: ("const_string", s),
-                          st.text(max_size=20)),
-                st.builds(lambda n: ("const_int", n),
-                          st.integers(-2**31, 2**31 - 1)),
-                st.just(("return_void", None)),
-            ),
-            max_size=6,
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_property(self, name, ops):
-        builder = ClassBuilder(name)
-        method = builder.method("m", "()void")
-        for op, operand in ops:
-            getattr(method, op)() if operand is None else getattr(
-                method, op)(operand)
-        dex = DexFile([builder.build()])
-        recovered = assemble(disassemble(dex))
-        assert recovered.classes[0].method("m").instructions == (
-            dex.classes[0].method("m").instructions
-        )
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.android.api import X_REQUESTED_WITH_HEADER
 from repro.android.intents import IntentResolution
 from repro.dynamic import (
     CustomTabRuntime,
@@ -47,7 +48,8 @@ class TestDevice:
     def test_logcat_records_intents(self):
         device = make_device()
         device.open_url_via_intent("https://example.com/")
-        assert device.logcat.contains("https://example.com/")
+        assert any("https://example.com/" in message
+                   for _, message in device.logcat.lines)
 
     def test_netlog_requires_root(self):
         device = make_device()
@@ -62,7 +64,7 @@ class TestWebViewRuntime:
         runtime = WebViewRuntime("com.test.app", device)
         runtime.loadUrl(TEST_PAGE_URL)
         request = device.network.requests_seen[-1]
-        assert request.requesting_app == "com.test.app"
+        assert request.headers[X_REQUESTED_WITH_HEADER] == "com.test.app"
         assert runtime.getTitle() == "HTML5 Test Page"
 
     def test_javascript_scheme_executes(self):
@@ -149,7 +151,8 @@ class TestCustomTabRuntime:
         assert response.ok
         assert runtime.tls_lock_shown
         request = device.network.requests_seen[-1]
-        assert not request.from_webview  # browser traffic, no app header
+        # Browser traffic carries no app header.
+        assert X_REQUESTED_WITH_HEADER not in request.headers
 
     def test_browser_cookies_attach(self):
         device, browser, runtime = self.make_runtime()
@@ -218,7 +221,6 @@ class TestFrida:
         runtime.addJavascriptInterface(JsBridge("fbpayIAWBridge"),
                                        "fbpayIAWBridge")
         assert session.injected_bridges() == ["fbpayIAWBridge"]
-        assert session.performed_injection
 
     def test_hooked_methods_still_work(self):
         device = make_device()
@@ -278,7 +280,8 @@ class TestRealAppProfiles:
         event = facebook.open_link(device, TEST_PAGE_URL)
         assert event.kind == IabKind.WEBVIEW
         assert not event.intent_raised
-        assert device.logcat.contains("no intent")
+        assert any("no intent" in message
+                   for _, message in device.logcat.lines)
 
     def test_discord_opens_ct(self):
         device = make_device()

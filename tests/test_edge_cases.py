@@ -16,7 +16,7 @@ from repro.errors import BrokenApkError, NetworkError
 from repro.netstack.network import Network, Request
 from repro.static_analysis import StaticAnalysisPipeline
 from repro.web.htmlparser import parse_html
-from repro.web.jsengine import run_script
+from repro.web.jsengine import JsInterpreter
 from repro.web.urls import parse_url
 
 
@@ -162,10 +162,11 @@ class TestJsRobustness:
         function recurse(n) { if (n <= 0) { return 0; } return recurse(n - 1); }
         recurse(200);
         """
-        run_script(source)  # must complete within the step budget
+        JsInterpreter().run(source)  # must complete within the step budget
 
     def test_nan_comparisons(self):
-        interpreter = run_script("__r = (0/0) === (0/0);")
+        interpreter = JsInterpreter()
+        interpreter.run("__r = (0/0) === (0/0);")
         assert interpreter.global_scope.lookup("__r") is False
 
 

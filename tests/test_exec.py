@@ -96,7 +96,6 @@ class TestAnalysisCache:
         assert cache.get("a" * 64, (True,)) == "outcome"
         assert cache.hits == 1
         assert cache.misses == 1
-        assert cache.hit_rate == 0.5
 
     def test_fingerprint_separates_option_sets(self):
         cache = AnalysisCache()

@@ -43,7 +43,7 @@ class TestPartialCustomTab:
 
     def test_inline_by_default(self):
         _, tab = self.make(height_px=600)
-        assert tab.is_inline
+        assert not tab.expanded
         assert tab.height_px == 600
 
     def test_height_clamped_to_minimum(self):
@@ -59,10 +59,9 @@ class TestPartialCustomTab:
         _, tab = self.make(height_px=600)
         tab.resize(900)
         assert tab.height_px == 900
-        assert tab.is_inline
-        tab.expand()
+        assert not tab.expanded
+        tab.resize(tab.screen_height_px)
         assert tab.expanded
-        assert not tab.is_inline
 
     def test_ad_rendering_is_isolated(self):
         """The Section 5 pitch: ads via partial CTs keep isolation."""
@@ -84,7 +83,8 @@ class TestPartialCustomTab:
     def test_ad_request_not_webview_tagged(self):
         device, tab = self.make()
         tab.show_ad("https://ads.example.com/creative")
-        assert not device.network.requests_seen[-1].from_webview
+        assert (X_REQUESTED_WITH_HEADER
+                not in device.network.requests_seen[-1].headers)
 
 
 class TestCustomTabsCallback:
@@ -94,7 +94,7 @@ class TestCustomTabsCallback:
         tab = PartialCustomTab("com.app", device, BrowserSession(),
                                callback=callback)
         tab.launchUrl("https://example.com/")
-        events = callback.events_seen()
+        events = [event for event, _ in callback.events]
         assert events == [
             CustomTabsCallback.TAB_SHOWN,
             CustomTabsCallback.NAVIGATION_STARTED,

@@ -15,6 +15,22 @@ from repro.javasrc import (
     tokenize,
 )
 from repro.javasrc import ast
+from repro.static_analysis.webview_usage import (
+    class_web_source_facts,
+    webview_subclasses_from_entries,
+)
+
+
+def string_literals(method):
+    """Every string literal in ``method``'s body, in walk order."""
+    return [expression.value for expression in method.walk_expressions()
+            if isinstance(expression, Literal)
+            and expression.java_type == "String"]
+
+
+def webview_subclasses(source):
+    """The paper's 3.1.2 subclass step, as the pipeline runs it."""
+    return webview_subclasses_from_entries(class_web_source_facts(source))
 
 
 class TestLexer:
@@ -126,9 +142,8 @@ class TestParser:
 
     def test_classes_extending(self):
         source = SAMPLE.replace("extends Activity", "extends WebView")
-        unit = parse_java(source)
-        matches = unit.classes_extending("android.webkit.WebView")
-        assert [c.name for c in matches] == ["BrowserActivity"]
+        assert webview_subclasses(source) == {
+            "com.example.webview.BrowserActivity"}
 
     def test_fields(self):
         cls = parse_java(SAMPLE).types[0]
@@ -157,14 +172,14 @@ class TestParser:
 
     def test_string_literals_extracted(self):
         cls = parse_java(SAMPLE).types[0]
-        strings = set(cls.methods[0].string_literals())
+        strings = set(string_literals(cls.methods[0]))
         assert "https://example.com/start" in strings
 
     def test_receiver_dotted(self):
         cls = parse_java(SAMPLE).types[0]
         load_url = [c for c in cls.methods[0].method_calls()
                     if c.name == "loadUrl"][0]
-        assert load_url.receiver_dotted() == "webView1"
+        assert load_url.target.parts == ["webView1"]
 
     def test_interface_parsing(self):
         unit = parse_java(
@@ -183,7 +198,7 @@ class TestParser:
         """)
         outer = unit.types[0]
         assert outer.inner_classes[0].name == "Inner"
-        assert unit.classes_extending("a.Base")[0].name == "Inner"
+        assert unit.resolve_type(outer.inner_classes[0].extends) == "a.Base"
 
     def test_enum_parsing(self):
         unit = parse_java("""
@@ -215,7 +230,7 @@ class TestParser:
         """)
         calls = list(unit.types[0].methods[0].method_calls())
         assert calls[0].name == "loadUrl"
-        assert calls[0].receiver_dotted() == "android.webkit.WebView"
+        assert calls[0].target.type_name == "android.webkit.WebView"
 
     def test_static_initializer(self):
         unit = parse_java("""
@@ -313,9 +328,7 @@ class TestCodegen:
 
     def test_extends_resolves_to_webview(self):
         source = generate_source(webview_subclass())
-        unit = parse_java(source)
-        matches = unit.classes_extending("android.webkit.WebView")
-        assert [c.name for c in matches] == ["CustomWebView"]
+        assert webview_subclasses(source) == {"com.vendor.sdk.CustomWebView"}
 
     def test_import_emitted(self):
         source = generate_source(webview_subclass())
@@ -332,7 +345,7 @@ class TestCodegen:
         source = generate_source(webview_subclass())
         unit = parse_java(source)
         open_method = [m for m in unit.types[0].methods if m.name == "open"][0]
-        assert "https://sdk.vendor.com/page" in set(open_method.string_literals())
+        assert "https://sdk.vendor.com/page" in string_literals(open_method)
 
     def test_static_call_rendering(self):
         builder = ClassBuilder("a.b.C")
@@ -365,7 +378,7 @@ class TestCodegen:
                               "(java.lang.String)void")
         method.return_void()
         unit = parse_java(generate_source(builder.build()))
-        literal = list(unit.types[0].methods[0].string_literals())[0]
+        literal = string_literals(unit.types[0].methods[0])[0]
         assert literal == tricky
 
     def test_abstract_class_rendering(self):
@@ -398,5 +411,5 @@ class TestCodegen:
                               "(java.lang.String)void")
         method.return_void()
         unit = parse_java(generate_source(builder.build()))
-        literal = list(unit.types[0].methods[0].string_literals())[0]
+        literal = string_literals(unit.types[0].methods[0])[0]
         assert literal == value

@@ -23,7 +23,6 @@ from repro.web.jsengine import (
     default_script_cache,
     json_stringify,
     record_script_events,
-    run_script,
     script_cache_key,
     script_cache_override,
     script_digest,
@@ -271,11 +270,11 @@ class TestStatements:
 
     def test_uncaught_throw_surfaces(self):
         with pytest.raises(JsRuntimeError):
-            run_script("throw 'unhandled';")
+            JsInterpreter().run("throw 'unhandled';")
 
     def test_syntax_error(self):
         with pytest.raises(JsSyntaxError):
-            run_script("var = 1;")
+            JsInterpreter().run("var = 1;")
 
     @pytest.mark.parametrize("source", [
         "return 1;",
@@ -286,7 +285,7 @@ class TestStatements:
     ])
     def test_misplaced_jump_is_a_syntax_error(self, source):
         with pytest.raises(JsSyntaxError):
-            run_script(source)
+            JsInterpreter().run(source)
 
     def test_break_inside_a_function_inside_a_loop(self):
         source = """
@@ -303,7 +302,7 @@ class TestStatements:
 
     def test_execution_budget(self):
         with pytest.raises(JsRuntimeError):
-            run_script("while (true) { var x = 1; }")
+            JsInterpreter().run("while (true) { var x = 1; }")
 
 
 class TestObjectsArraysStrings:
@@ -341,7 +340,8 @@ class TestObjectsArraysStrings:
         assert json_stringify('he said "hi"\n') == '"he said \\"hi\\"\\n"'
 
     def test_console_log(self):
-        interpreter = run_script("console.log('a', 1); console.warn('b');")
+        interpreter = JsInterpreter()
+        interpreter.run("console.log('a', 1); console.warn('b');")
         assert interpreter.console_log == [
             ("log", "a 1"), ("warn", "b"),
         ]
@@ -362,7 +362,7 @@ class TestObjectsArraysStrings:
 
     def test_member_of_undefined_raises(self):
         with pytest.raises(JsRuntimeError):
-            run_script("var x; x.property;")
+            JsInterpreter().run("var x; x.property;")
 
     def test_array_map_filter(self):
         source = """
@@ -391,7 +391,7 @@ class TestObjectsArraysStrings:
 
     def test_map_requires_callback(self):
         with pytest.raises(JsRuntimeError):
-            run_script("[1].map();")
+            JsInterpreter().run("[1].map();")
 
     def test_array_callbacks_count_against_the_budget(self):
         # 12,000 callbacks of 100 iterations each: about five times the
@@ -407,7 +407,7 @@ class TestObjectsArraysStrings:
         }
         """
         with pytest.raises(JsRuntimeError, match="execution budget"):
-            run_script(source)
+            JsInterpreter().run(source)
 
     def test_new_object(self):
         source = """
@@ -416,6 +416,50 @@ class TestObjectsArraysStrings:
         __result = p.x + p.y;
         """
         assert result_of(source) == 7.0
+
+    @pytest.mark.parametrize("expression,expected", [
+        # Index reads: only an integer in [0, length) reads an element.
+        ("[1, 2][0/0]", UNDEFINED),
+        ("[1, 2][1/0]", UNDEFINED),
+        ("[1, 2][1.5]", UNDEFINED),
+        ("[1, 2][-0.5]", UNDEFINED),
+        ("'abc'[0/0]", UNDEFINED),
+        ("'abc'[1.5]", UNDEFINED),
+        # Integer arguments: NaN is 0, the infinities clamp.
+        ("'abc'.charCodeAt(0/0)", 97.0),
+        ("'abc'.charAt(0/0)", "a"),
+        ("'abc'.charAt(1/0)", ""),
+        ("'abc'.charAt(-1/0)", ""),
+        ("'abc'.substring(0/0)", "abc"),
+        ("'abc'.substring(1, 1/0)", "bc"),
+        ("'abc'.substring(-1/0, 2)", "ab"),
+        ("'abc'.slice(1/0)", ""),
+        ("'abc'.slice(-1/0, 0/0)", ""),
+        ("[1, 2, 3].slice(1/0).join(',')", ""),
+        ("[1, 2, 3].slice(-1/0).join(',')", "1,2,3"),
+        ("[1, 2, 3].slice(0/0, 1/0).join(',')", "1,2,3"),
+        ("(1.25).toFixed(0/0)", "1"),
+    ])
+    def test_non_integer_index_and_argument_follow_js(self, expression,
+                                                      expected):
+        assert result_of("__result = %s;" % expression) == expected
+
+    @pytest.mark.parametrize("expression,expected", [
+        ("[1, 2][-0]", 1.0),
+        ("'abc'.charAt(1.9)", "b"),
+        ("'abc'.slice(-2)", "bc"),
+        ("'abc'.substring(2, 0)", "ab"),
+        ("[1, 2, 3].slice(1.7).join(',')", "2,3"),
+        ("[1, 2, 3].slice(-2, -1).join(',')", "2"),
+    ])
+    def test_integer_valued_index_and_argument_still_read(self, expression,
+                                                          expected):
+        assert result_of("__result = %s;" % expression) == expected
+
+    @pytest.mark.parametrize("digits", ["1/0", "-1", "101"])
+    def test_to_fixed_digits_out_of_range_is_a_range_error(self, digits):
+        with pytest.raises(JsRuntimeError, match="toFixed"):
+            result_of("__result = (1.5).toFixed(%s);" % digits)
 
 
 class TestDomBridge:

@@ -319,8 +319,12 @@ class TestTrendsAndFacade:
         assert len(table.rows[0]) == len(study.dates) + 2
 
     def test_adoption_deltas_pair_consecutive(self, study):
-        deltas = study.trend().adoption_deltas()
-        assert len(deltas) == len(study.dates) - 1
+        rows = study.trend().adoption_table().rows
+        assert len(rows) == len(study.dates)
+        # The first snapshot has no predecessor; each later one gets a
+        # WebView and a CT delta against the snapshot before it.
+        assert rows[0][-2:] == ["", ""]
+        assert all(row[-2] and row[-1] for row in rows[1:])
 
     def test_trend_series_from_runs(self, study):
         series = TrendSeries.from_runs(study.runs)

@@ -102,9 +102,9 @@ class TestNetwork:
         request = Request("https://x.com/", headers={
             X_REQUESTED_WITH_HEADER: "com.facebook.katana",
         })
-        assert request.from_webview
-        assert request.requesting_app == "com.facebook.katana"
-        assert not Request("https://x.com/").from_webview
+        assert request.headers.get(X_REQUESTED_WITH_HEADER) == (
+            "com.facebook.katana")
+        assert X_REQUESTED_WITH_HEADER not in Request("https://x.com/").headers
 
     def test_deterministic_with_seed(self):
         def timing(seed):

@@ -71,7 +71,8 @@ class TestStaticStudyObservability:
     def test_registry_round_trips_through_json(self):
         study = _run_study()
         registry = study.obs.registry
-        rebuilt = MetricsRegistry.from_json(registry.to_json())
+        rebuilt = MetricsRegistry.from_dict(
+            json.loads(json.dumps(registry.as_dict())))
         assert rebuilt.as_dict() == registry.as_dict()
 
     def test_trace_tree_is_json_serializable(self):
@@ -93,9 +94,9 @@ class TestDeterminism:
 
     def test_isolated_registries_per_study(self):
         first = _run_study()
-        before = first.obs.registry.to_json()
+        before = json.dumps(first.obs.registry.as_dict())
         _run_study()
-        assert first.obs.registry.to_json() == before
+        assert json.dumps(first.obs.registry.as_dict()) == before
 
 
 class TestDynamicStudyObservability:

@@ -1,8 +1,12 @@
 """Tests for the metrics registry and its JSON exporter."""
 
+import json
+
 import pytest
 
+from repro.obs import default_obs
 from repro.obs.metrics import (
+    REGISTRY,
     Counter,
     DEFAULT_BUCKETS,
     Gauge,
@@ -10,7 +14,6 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
     TickClock,
-    default_registry,
 )
 
 
@@ -50,7 +53,7 @@ class TestGauge:
         gauge = Gauge("in_flight")
         gauge.set(10)
         gauge.inc(2)
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.value == 11
 
 
@@ -100,7 +103,7 @@ class TestRegistry:
         assert registry.value("missing_metric") == 0
 
     def test_default_registry_is_process_global(self):
-        assert default_registry() is default_registry()
+        assert default_obs().registry is REGISTRY
 
 
 def _populated_registry():
@@ -120,7 +123,8 @@ def _populated_registry():
 class TestJsonExporter:
     def test_round_trip(self):
         registry = _populated_registry()
-        rebuilt = MetricsRegistry.from_json(registry.to_json())
+        rebuilt = MetricsRegistry.from_dict(
+            json.loads(json.dumps(registry.as_dict())))
         assert rebuilt.as_dict() == registry.as_dict()
         assert rebuilt.value("apps_total") == 7
         assert rebuilt.value("drops_total", reason="broken_apk") == 3

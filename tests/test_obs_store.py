@@ -25,7 +25,6 @@ from repro.results.serve import main
 from repro.results.store import (
     RESULTS_DB_ENV_VAR,
     ResultsStore,
-    env_db_path,
     git_describe,
 )
 from repro.sdk.catalog import build_catalog
@@ -131,7 +130,7 @@ class TestEnvValidation:
                                                      monkeypatch):
         monkeypatch.setenv(RESULTS_DB_ENV_VAR, str(tmp_path))
         with pytest.raises(ValueError) as err:
-            env_db_path()
+            ResultsStore.from_env()
         message = str(err.value)
         assert RESULTS_DB_ENV_VAR in message
         assert "results.db" in message
@@ -141,7 +140,7 @@ class TestEnvValidation:
         blocker.write_text("not a directory")
         monkeypatch.setenv(RESULTS_DB_ENV_VAR, str(blocker / "r.db"))
         with pytest.raises(ValueError) as err:
-            env_db_path()
+            ResultsStore.from_env()
         assert RESULTS_DB_ENV_VAR in str(err.value)
 
 
@@ -294,6 +293,30 @@ class TestCli:
         folded = out_path.read_text()
         assert folded == perf.flamegraph(store.load_spans(run_id))
         assert "run;execute;analyze_app" in folded
+
+    def test_reader_closing_early_ends_quietly(self, tmp_path):
+        """``python -m repro.results run ID | head -1``: no traceback."""
+        db = str(tmp_path / "r.db")
+        obs = Obs()
+        with obs.span("run"):
+            for index in range(3000):  # ~200 KB of stage lines
+                with obs.span("stage_%04d" % index):
+                    pass
+        run_id = ResultsStore(db).record_run(obs, "static")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.results", "--db", db, "run",
+             run_id],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.wait(timeout=120)
+        proc.stderr.close()
+        assert "Traceback" not in stderr, stderr
+        assert "BrokenPipeError" not in stderr, stderr
 
     def test_flamegraph_kind_never_folds_another_kind(self, tmp_path,
                                                       capsys):

@@ -97,16 +97,18 @@ class TestExport:
         assert rebuilt.duration == tracer.roots[0].duration
 
     def test_find_and_stage_totals(self):
-        tracer = Tracer(clock=TickClock(step=1.0))
-        with tracer.span("run"):
-            with tracer.span("download"):
+        obs = Obs(clock=TickClock(step=1.0))
+        with obs.span("run"):
+            with obs.span("download"):
                 pass
-            with tracer.span("download"):
+            with obs.span("download"):
                 pass
-        assert tracer.find("download") is not None
-        totals = tracer.stage_totals()
-        assert totals["download"] == 2.0
-        assert set(totals) == {"run", "download"}
+        assert obs.tracer.find("download") is not None
+        # Stage totals accumulate per span name in the stage counter.
+        assert obs.registry.value("repro_stage_seconds_total",
+                                  stage="download") == 2.0
+        assert obs.registry.value("repro_stage_calls_total",
+                                  stage="download") == 2
 
 
 class TestActiveTracer:

@@ -32,15 +32,8 @@ class TestTable:
         lines = table.render().splitlines()
         assert lines[-1].endswith("12,345")
 
-    def test_sections_rendered(self):
-        table = Table(["k", "v"])
-        table.add_section("group one")
-        table.add_row("a", 1)
-        assert "group one" in table.render()
-
     def test_as_records(self):
         table = Table(["k", "v"])
-        table.add_section("s")
         table.add_row("a", 1)
         assert table.as_records() == [{"k": "a", "v": 1}]
 

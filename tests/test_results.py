@@ -23,7 +23,6 @@ from repro.results.serve import ResultsService, main as results_main
 from repro.results.store import (
     RESULTS_DB_ENV_VAR,
     ResultsStore,
-    env_db_path,
 )
 from repro.static_analysis.nutrition import build_label
 from repro.static_analysis.report import Aggregator
@@ -157,15 +156,13 @@ class TestIngest:
 
     def test_env_var_plumbing(self, tmp_path, monkeypatch):
         monkeypatch.delenv(RESULTS_DB_ENV_VAR, raising=False)
-        assert env_db_path() is None
         assert ResultsStore.from_env() is None
         db = str(tmp_path / "r.db")
         monkeypatch.setenv(RESULTS_DB_ENV_VAR, db)
-        assert env_db_path() == db
         assert ResultsStore.from_env().path == db
         monkeypatch.setenv(RESULTS_DB_ENV_VAR, str(tmp_path))
         with pytest.raises(ValueError):
-            env_db_path()
+            ResultsStore.from_env()
 
 
 class TestServingEquivalence:

@@ -167,7 +167,5 @@ class TestLabeler:
         assert label.category == SdkCategory.UNKNOWN
 
     def test_profile_for_package(self):
-        assert self.labeler.profile_for_package("com.stripe.android").name == (
-            "Stripe"
-        )
-        assert self.labeler.profile_for_package("com.nobody.here") is None
+        assert self.labeler.label("com.stripe.android").sdk.name == "Stripe"
+        assert self.labeler.label("com.nobody.here").sdk is None

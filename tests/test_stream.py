@@ -62,7 +62,6 @@ class TestOrderedFlush:
         flush.push(0, "a")
         flush.push(1, "b")
         assert seen == [(0, "a"), (1, "b")]
-        assert flush.buffered == 0
 
     def test_out_of_order_pushes_buffer_until_prefix_completes(self):
         seen = []
@@ -70,10 +69,8 @@ class TestOrderedFlush:
         flush.push(2, "c")
         flush.push(1, "b")
         assert seen == []
-        assert flush.buffered == 2
         flush.push(0, "a")
         assert seen == [0, 1, 2]
-        assert flush.buffered == 0
 
 
 class TestSimulateStream:

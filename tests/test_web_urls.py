@@ -91,7 +91,7 @@ class TestRegistrableDomain:
         a = parse_url("https://lm.facebook.com/l.php")
         b = parse_url("https://www.facebook.com/")
         assert a.same_site(b)
-        assert not a.same_origin(b)
+        assert a.origin != b.origin
 
     def test_is_secure(self):
         assert parse_url("https://x.com/").is_secure
@@ -152,8 +152,8 @@ class TestOrigin:
     def test_portless_same_origin(self):
         a = parse_url("market://details?id=com.x.app")
         b = parse_url("market://details?id=com.other.app")
-        assert a.same_origin(b)
-        assert not a.same_origin(parse_url("intent://details"))
+        assert a.origin == b.origin
+        assert a.origin != parse_url("intent://details").origin
 
 
 class TestUserinfo:
