@@ -32,6 +32,7 @@ from repro.dynamic.device import Device
 from repro.dynamic.iab import IabKind
 from repro.dynamic.webview_runtime import WebViewRuntime
 from repro.exec import ExecConfig, StreamPlan, TaskOutcome
+from repro.netstack.netlog import NetLogBlock
 from repro.netstack.network import Network, Request
 from repro.obs import (
     CRAWL_NETLOG_EVENTS_METRIC,
@@ -212,7 +213,7 @@ class ShardOutcome(TaskOutcome):
     """One app shard's results, merged by the parent in selection order.
 
     Every shard traces into a fresh per-shard tracer, on both backends,
-    and exports its span tree in ``spans``, so traces are identical
+    and returns its span tree in ``spans``, so traces are identical
     whichever side of the process boundary the work ran on.
     ``script_events`` is the ordered ``(digest, parse cost)`` stream the
     parent replays for deterministic script-cache accounting;
@@ -260,16 +261,12 @@ def _visit_site(app, site, device, span, seed, adb):
     device.advance_clock(PAGE_LOAD_WAIT_MS)     # 20s resource wait
 
     endpoints = runtime.netlog.urls()
-    # Bridge the per-instance NetLog into the owning visit's span before
-    # the on-device log is purged, so the trace tree retains the full
-    # event stream for this page load.
-    event_counts = {}
-    for event in runtime.netlog.events:
-        record = event.to_dict()
-        span.add_event(record.pop("type"),
-                       time=record.pop("time_ms"), **record)
-        value = event.event_type.value
-        event_counts[value] = event_counts.get(value, 0) + 1
+    # Keep the per-instance NetLog on the visit's span, as one compact
+    # block, before the on-device log is purged: the trace retains the
+    # page load's full event stream at a fraction of per-event dicts.
+    span.events = NetLogBlock(runtime.netlog.events)
+    event_counts = collections.Counter(
+        event.event_type.value for event in runtime.netlog.events)
     span.set_attribute("endpoints", len(endpoints))
     span.set_attribute("netlog_source_id", runtime.netlog.source_id)
 
@@ -311,7 +308,7 @@ def _run_crawl_shard(settings, shard):
                                          settings.seed, adb)
                 outcome.visits.append(record)
     outcome.cost = root.duration
-    outcome.spans = [root.to_dict()]
+    outcome.spans = [root]
     outcome.adb_commands = list(adb)
     return outcome
 

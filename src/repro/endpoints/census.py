@@ -426,7 +426,7 @@ def _run_endpoint_shard(settings, shard):
             outcome = _execute_endpoint_shard(settings, shard,
                                               summary_cache, recorder)
     outcome.cost = root.duration
-    outcome.spans = [root.to_dict()]
+    outcome.spans = [root]
     return outcome
 
 

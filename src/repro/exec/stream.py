@@ -61,7 +61,6 @@ from repro.obs import (
     EXEC_TASKS_QUARANTINED_METRIC,
     EXEC_WORKER_BUSY_METRIC,
     EXEC_WORKERS_METRIC,
-    Span,
     bind_context,
 )
 
@@ -424,9 +423,10 @@ class TaskOutcome:
 
     ``position`` is the task's place in selection order; ``error`` is a
     drop-taxonomy slug (None on success) and ``message`` its detail;
-    ``cost`` is the measured clock units; ``spans`` holds a task's
-    exported span trees (tasks that traced into their own tracer) and
-    ``span`` the live span of an in-process one; ``worker`` is the
+    ``cost`` is the measured clock units; ``spans`` holds the span
+    trees of a task that traced into its own tracer (pickled with the
+    outcome from a worker process) and ``span`` the span of a task that
+    traced into the study's tracer; ``worker`` is the
     simulated worker, stamped at finalize. ``cached`` marks an outcome a
     cache served; ``cacheable`` is False for outcomes a cache must not
     keep (lost tasks, failed downloads, cache hits).
@@ -463,8 +463,8 @@ class StreamPlan:
     held open on the study's own tracer — never through an ambient
     contextvar — and the stage's ``context`` re-activates the study's
     bundle around each event. As outcomes stream in, the plan merges
-    them in exact selection order: it replays each task's exported span
-    trees under ``execute``, counts a drop for every failed outcome and
+    them in exact selection order: it adopts each task's own span trees
+    under ``execute``, counts a drop for every failed outcome and
     hands the outcome to :meth:`merge`. :meth:`run` drains the stage and
     replays its schedule; :meth:`finalize` stamps worker attribution
     from that replay, records exec and scheduler metrics (plus the
@@ -662,14 +662,13 @@ class StreamPlan:
             self.merge(outcome)
 
     def _replay_spans(self, outcome):
-        """Attach a task's exported span trees under ``execute``.
+        """Adopt a task's span trees under ``execute``, as they are.
 
         The trace keeps one shape whichever side of the process boundary
         the task ran on; the roots park until finalize stamps workers.
         """
         tracer = self.obs.tracer
-        for data in outcome.spans or ():
-            root = Span.from_dict(data)
+        for root in outcome.spans or ():
             self._parked.setdefault(outcome.position, []).append(root)
             self.execute_span.children.append(root)
             if tracer.on_span_end is not None:

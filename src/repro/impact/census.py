@@ -90,7 +90,7 @@ def _run_impact_shard(settings, shard):
             outcome.record = probe_app(app, seed=settings.seed,
                                        tracer=tracer)
     outcome.cost = root.duration
-    outcome.spans = [root.to_dict()]
+    outcome.spans = [root]
     return outcome
 
 

@@ -3,11 +3,12 @@
 The paper records network logs directly from Chrome's network stack on a
 rooted device, capturing detailed per-WebView-instance logs rather than
 device-wide traffic. :class:`NetLog` is that per-instance log: a typed
-event stream over request lifecycles that the crawler snapshots and purges
-between visits.
+event stream over request lifecycles that the crawler snapshots (as a
+:class:`NetLogBlock` on the visit's span) and purges between visits.
 """
 
 import enum
+import marshal
 
 
 class NetLogEventType(enum.Enum):
@@ -101,6 +102,66 @@ class NetLog:
 
     def __len__(self):
         return len(self.events)
+
+
+class NetLogBlock:
+    """A NetLog's events, kept compactly as a trace span's events.
+
+    A crawl keeps every visit's NetLog in its trace, ~140 events a
+    visit. Held as span-event dicts, each event costs three dicts and
+    its own copy of the URL. A block holds a visit's events as one flat
+    tuple of ``(type, url, time, details)`` fields, keeps each URL
+    string once and each distinct details mapping once, and is
+    immutable.
+
+    Iterating renders the span-event dicts, fresh on every pass:
+    ``{"name": type, "time": time_ms, "attributes": {"url": ...,
+    "details": {...}}}``. A span whose ``events`` is a block therefore
+    exports exactly what the per-event dicts exported. Details are
+    stored marshalled, which keeps exact builtin types (a tuple stays a
+    tuple, 1 stays an int) and rejects any other type; such details are
+    kept as a plain copy instead.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, events):
+        urls = {}
+        details = {}
+        fields = []
+        for event in events:
+            fields += (event.event_type.value,
+                       urls.setdefault(event.url, event.url),
+                       event.time_ms, _frozen(event.details, details))
+        self._fields = tuple(fields)
+
+    def __len__(self):
+        return len(self._fields) // 4
+
+    def __iter__(self):
+        fields = iter(self._fields)
+        for name, url, time_ms, details in zip(fields, fields, fields,
+                                               fields):
+            if isinstance(details, bytes):
+                details = marshal.loads(details)
+            else:
+                details = dict(details)
+            yield {"name": name, "time": time_ms,
+                   "attributes": {"url": url, "details": details}}
+
+
+def _frozen(details, seen):
+    """``details`` marshalled, one bytes object per distinct value in
+    ``seen``; a plain copy when marshal cannot hold a value exactly.
+
+    Version 2 writes no back-references, so equal values marshal to
+    equal bytes.
+    """
+    try:
+        blob = marshal.dumps(details, 2)
+    except ValueError:
+        return dict(details)
+    return seen.setdefault(blob, blob)
 
 
 def _host_of(url):

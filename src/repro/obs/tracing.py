@@ -43,6 +43,10 @@ class Span:
         self.status = Span.OK
         self.error = None
         self.children = []
+        #: Point-in-time events as ``{"name", "time", "attributes"}``
+        #: dicts: a list, or an immutable block that renders them on
+        #: iteration (a crawl visit's
+        #: :class:`~repro.netstack.netlog.NetLogBlock`).
         self.events = []
 
     @property
@@ -54,14 +58,6 @@ class Span:
 
     def set_attribute(self, key, value):
         self.attributes[key] = value
-
-    def add_event(self, name, time=None, **attributes):
-        """Record a point-in-time event inside this span."""
-        self.events.append({
-            "name": name,
-            "time": time,
-            "attributes": dict(attributes),
-        })
 
     def record_error(self, exc):
         self.status = Span.ERROR
@@ -102,9 +98,9 @@ class Span:
     def from_dict(cls, data):
         """Rebuild a span tree exported by :meth:`to_dict`.
 
-        The parallel pipeline uses this to replay spans recorded inside
-        worker processes into the study's tracer, so a sharded run's
-        trace tree looks the same as a serial one.
+        Persisted traces come back through this
+        (:meth:`~repro.results.store.ResultsStore.load_spans`); a
+        sharded run adopts its tasks' live span trees instead.
         """
         span = cls(data["name"], data.get("attributes"),
                    start=data.get("start", 0.0))

@@ -32,6 +32,7 @@ class-cache metrics are accounted by a deterministic selection-order
 replay, never from scheduling-dependent worker-local counts.
 """
 
+import collections
 import datetime
 import functools
 import time
@@ -319,8 +320,8 @@ def _run_analysis_task(settings, task):
     """Process-pool entry point: analyze one app in a worker.
 
     The worker traces into its own tracer (a fresh deterministic
-    TickClock unless the study injected a real clock) and exports the
-    span tree in the outcome, so the parent can replay it and per-app
+    TickClock unless the study injected a real clock) and returns the
+    span tree in the outcome, so the parent can adopt it and per-app
     stage timings survive the process boundary.
     """
     clock = time.perf_counter if settings.real_clock else TickClock()
@@ -333,7 +334,7 @@ def _run_analysis_task(settings, task):
                                         facts_cache=facts_cache,
                                         recorder=recorder)
     outcome.cost = root.duration
-    outcome.spans = [root.to_dict()]
+    outcome.spans = [root]
     return outcome
 
 
@@ -418,19 +419,24 @@ class StaticAnalysisPipeline:
             "updated_after_2021": 0,
         }
         selected = []
+        # Drops are totalled per reason and counted once per reason
+        # after the scan, not looked up and counted per listing.
+        drops = collections.Counter()
+        not_found = error_slug(AppNotFoundError)
+        no_play_version = error_slug(RepositoryError)
         with self.obs.span("filter"):
             for package in packages:
                 listing = scraper.try_app_listing(package)
                 if listing is None:
-                    self._drop(error_slug(AppNotFoundError))
+                    drops[not_found] += 1
                     continue
                 funnel["found_on_play"] += 1
                 if listing.installs < config.min_installs:
-                    self._drop(DROP_BELOW_MIN_INSTALLS)
+                    drops[DROP_BELOW_MIN_INSTALLS] += 1
                     continue
                 funnel["with_100k_downloads"] += 1
                 if listing.updated < config.update_cutoff:
-                    self._drop(DROP_UPDATED_BEFORE_CUTOFF)
+                    drops[DROP_UPDATED_BEFORE_CUTOFF] += 1
                     continue
                 funnel["updated_after_2021"] += 1
                 # Packages were listed from the Play market; restrict the
@@ -438,9 +444,11 @@ class StaticAnalysisPipeline:
                 # the same package can never be downloaded instead.
                 row = snapshot.latest_version(package, market=PLAY_MARKET)
                 if row is None:
-                    self._drop(error_slug(RepositoryError))
+                    drops[no_play_version] += 1
                     continue
                 selected.append((row, listing))
+            for reason, count in drops.items():
+                self._drop(reason, count)
         self.log.info("funnel_selected", **funnel)
         return selected, funnel
 

@@ -1049,6 +1049,12 @@ def _slice_bound(args, position, length, default):
     return max(-length, min(_to_integer(args[position]), length))
 
 
+def _is_array_index(key):
+    """Whether a property name spells an element index, as ``'1'`` does
+    (``'01'``, ``'1.0'`` and ``'-1'`` name ordinary properties)."""
+    return key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")
+
+
 def _to_int32(value):
     number = to_number(value)
     if number != number or number in (float("inf"), float("-inf")):
@@ -1269,8 +1275,12 @@ class JsInterpreter:
             target.set(name, value)
             return
         if isinstance(target, JsArray) and name == "length":
-            length = int(to_number(value))
-            del target.elements[length:]
+            # A length that is not a uint32 is a RangeError in JS.
+            number = to_number(value)
+            if not (0 <= number < 2**32 and number == int(number)):
+                raise JsRuntimeError("invalid array length %s"
+                                     % to_string(value))
+            del target.elements[int(number):]
             return
         raise JsRuntimeError("cannot set property %r" % name)
 
@@ -1284,7 +1294,10 @@ class JsInterpreter:
                     if position == index:
                         return target.elements[position]
                 return UNDEFINED
-            return _array_member(target, to_string(index), self)
+            key = to_string(index)
+            if _is_array_index(key):
+                return self.get_index(target, float(key))
+            return _array_member(target, key, self)
         if isinstance(target, str):
             if isinstance(index, (int, float)) and not isinstance(index, bool):
                 if 0 <= index < len(target):
@@ -1292,7 +1305,10 @@ class JsInterpreter:
                     if position == index:
                         return target[position]
                 return UNDEFINED
-            return _string_member(target, to_string(index))
+            key = to_string(index)
+            if _is_array_index(key):
+                return self.get_index(target, float(key))
+            return _string_member(target, key)
         if isinstance(target, (JsObject, HostObject)):
             if isinstance(index, (int, float)) and not isinstance(index, bool):
                 member = self.get_member(target, _number_to_string(float(index)))
@@ -1927,7 +1943,13 @@ def _js_parse_int(args):
     if not args:
         return float("nan")
     text = to_string(args[0]).strip()
-    base = int(to_number(args[1])) if len(args) > 1 and truthy(args[1]) else 10
+    # The radix is read with ToInt32; 0 (also undefined, NaN and the
+    # infinities) means 10, and any other radix outside 2..36 gives NaN.
+    base = _to_int32(args[1]) if len(args) > 1 else 0
+    if base == 0:
+        base = 10
+    elif not 2 <= base <= 36:
+        return float("nan")
     sign = 1
     if text.startswith(("-", "+")):
         sign = -1 if text[0] == "-" else 1

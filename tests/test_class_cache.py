@@ -82,10 +82,11 @@ class TestStudyEquivalence:
             misses = registry.value(EXEC_CLASS_CACHE_MISSES_METRIC)
             assert hits + misses > 0
 
-    def test_hit_metrics_identical_across_backends(self):
+    def test_hit_metrics_identical_across_backends(self, cold_disk_cache):
         counts = set()
         for backend, workers in (("inline", 1), ("inline", 4),
                                  ("process", 4)):
+            cold_disk_cache()
             _, obs = _study(True, backend, workers)
             counts.add((
                 obs.registry.value(EXEC_CLASS_CACHE_HITS_METRIC),
@@ -93,7 +94,7 @@ class TestStudyEquivalence:
             ))
         assert len(counts) == 1
 
-    def test_time_saved_identical_across_backends(self):
+    def test_time_saved_identical_across_backends(self, cold_disk_cache):
         # Each class's cost is the difference of two clock readings taken
         # at whatever offset the computing worker's clock has reached.
         # This seed and chunk size put classes at offsets where the
@@ -101,6 +102,7 @@ class TestStudyEquivalence:
         # inline and process backends.
         saved = set()
         for backend in ("inline", "process"):
+            cold_disk_cache()
             _, obs = _study(True, backend, 4, universe=800, seed=4242,
                             chunk_size=4)
             saved.add(obs.registry.value(EXEC_CLASS_TIME_SAVED_METRIC))
@@ -158,7 +160,9 @@ class TestFactsForClass:
 
 
 class TestLruEviction:
-    def test_class_tier_evicts_least_recently_used(self):
+    def test_class_tier_evicts_least_recently_used(self, monkeypatch):
+        # The memory tier alone: a disk layer would serve b back.
+        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         cache = ClassFactsCache(max_entries=2)
         a, b, c = (_sample_facts("com.s.A"), _sample_facts("com.s.B"),
                    _sample_facts("com.s.C"))

@@ -306,7 +306,9 @@ def run_census(corpus=None, analysis_cache=None, **exec_kwargs):
 
 
 class TestCensusDeterminism:
-    def test_byte_identical_across_workers_and_backends(self):
+    def test_byte_identical_across_workers_and_backends(self,
+                                                        cold_disk_cache):
+        cold_disk_cache()
         base_census, base = run_census(max_workers=1)
         reference = census_snapshot(base)
         counters = endpoint_counters(base_census)
@@ -318,6 +320,7 @@ class TestCensusDeterminism:
             dict(max_workers=1, cache=False),
             dict(max_workers=4, backend="process", cache=False),
         ):
+            cold_disk_cache()
             census, result = run_census(**kwargs)
             assert census_snapshot(result) == reference, kwargs
             if census.exec_config.cache == base_census.exec_config.cache:
@@ -351,8 +354,10 @@ class TestCensusDeterminism:
         assert census._cache_hits.value == 0
         assert census_snapshot(warm) == census_snapshot(cold)
 
-    def test_summary_metrics_deterministic_across_backends(self):
+    def test_summary_metrics_deterministic_across_backends(
+            self, cold_disk_cache):
         def summary_counters(**kwargs):
+            cold_disk_cache()
             census, _ = run_census(**kwargs)
             registry = census.obs.registry
             return (

@@ -439,6 +439,15 @@ class TestObjectsArraysStrings:
         ("[1, 2, 3].slice(-1/0).join(',')", "1,2,3"),
         ("[1, 2, 3].slice(0/0, 1/0).join(',')", "1,2,3"),
         ("(1.25).toFixed(0/0)", "1"),
+        # A string key reads an element only when it spells an index.
+        ("[1, 2]['01']", UNDEFINED),
+        ("'abc'['1.0']", UNDEFINED),
+        # parseInt reads its radix with ToInt32: 0 means 10, and a radix
+        # outside 2..36 gives NaN.
+        ("parseInt('12', 1/0)", 12.0),
+        ("parseInt('12', 0/0)", 12.0),
+        ("isNaN(parseInt('0', 1))", True),
+        ("isNaN(parseInt('12', 37))", True),
     ])
     def test_non_integer_index_and_argument_follow_js(self, expression,
                                                       expected):
@@ -451,10 +460,21 @@ class TestObjectsArraysStrings:
         ("'abc'.substring(2, 0)", "ab"),
         ("[1, 2, 3].slice(1.7).join(',')", "2,3"),
         ("[1, 2, 3].slice(-2, -1).join(',')", "2"),
+        ("[1, 2]['1']", 2.0),
+        ("'abc'['1']", "b"),
     ])
     def test_integer_valued_index_and_argument_still_read(self, expression,
                                                           expected):
         assert result_of("__result = %s;" % expression) == expected
+
+    @pytest.mark.parametrize("length", ["0/0", "1/0", "-1", "1.5"])
+    def test_array_length_not_a_uint32_is_a_range_error(self, length):
+        with pytest.raises(JsRuntimeError, match="invalid array length"):
+            result_of("var a = [1, 2]; a.length = %s;" % length)
+
+    def test_array_length_truncates(self):
+        assert result_of("var a = [1, 2, 3]; a.length = 1;"
+                         " __result = a.join(',') + a.length;") == "11"
 
     @pytest.mark.parametrize("digits", ["1/0", "-1", "101"])
     def test_to_fixed_digits_out_of_range_is_a_range_error(self, digits):

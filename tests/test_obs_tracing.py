@@ -66,8 +66,8 @@ class TestExport:
         tracer = Tracer(clock=TickClock(step=1.0))
         with tracer.span("visit", app="Pinterest"):
             with tracer.span("fetch") as fetch:
-                fetch.add_event("REQUEST_ALIVE", time=0.0,
-                                url="https://a.com/")
+                fetch.events.append({"name": "REQUEST_ALIVE", "time": 0.0,
+                                     "attributes": {"url": "https://a.com/"}})
         tree = tracer.to_dict()
         (visit,) = tree["spans"]
         assert visit["name"] == "visit"
@@ -86,7 +86,9 @@ class TestExport:
         with pytest.raises(RuntimeError):
             with tracer.span("analyze_app", package="com.x"):
                 with tracer.span("decompile") as decompile:
-                    decompile.add_event("classes_loaded", count=12)
+                    decompile.events.append({"name": "classes_loaded",
+                                             "time": None,
+                                             "attributes": {"count": 12}})
                 raise RuntimeError("broken dex")
         exported = tracer.roots[0].to_dict()
         rebuilt = Span.from_dict(exported)
@@ -197,7 +199,10 @@ class TestOpenSpanExport:
                         with tracer.span("s%d" % rng.randint(0, 4),
                                          **attrs) as span:
                             if rng.random() < 0.4:
-                                span.add_event("evt", value=rng.random())
+                                span.events.append({
+                                    "name": "evt", "time": None,
+                                    "attributes": {"value": rng.random()},
+                                })
                             if depth < 2 and rng.random() < 0.6:
                                 build(depth + 1)
                             if rng.random() < 0.2:
